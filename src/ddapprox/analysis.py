@@ -9,62 +9,90 @@ Three per-node numbers drive the approximation schemes:
 * contribution(v) = downstream(v) * upstream(v): the probability mass that
   flows through v. On a unit-norm state the contributions of each level sum
   to 1, because every nonzero path crosses each level exactly once.
+
+All passes run over the state's cached level-array view (`StateDD.view`),
+one numpy step per level, so they need no recursion. Every float comes from
+the same operations in the same order as in a node-by-node pass, so the
+results match such a pass bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .complex_table import sqr_mag
-from .dd import TERMINAL, Node, StateDD, reachable_nodes
-from .rng import SplitMix64, derive_seed
+from .dd import TERMINAL, LevelView, Node, StateDD
+from .rng import derive_seeds, random_array
 
 
-def upstream(dd: StateDD) -> dict:
-    """Memoized depth-first pass; includes the terminal (mapped to 1.0)."""
-    up: dict = {TERMINAL: 1.0}
-
-    def visit(t) -> float:
-        val = up.get(t)
-        if val is None:
-            val = sqr_mag(t.succ0.weight) * visit(t.succ0.target) + sqr_mag(
-                t.succ1.weight
-            ) * visit(t.succ1.target)
-            up[t] = val
-        return val
-
-    visit(dd.root.target)
+def _upstream(view: LevelView) -> np.ndarray:
+    """Upstream per node index, bottom-up; the sentinel entry is 1."""
+    up = np.empty(len(view.nodes) + 1)
+    up[-1] = 1.0
+    for _, start, stop in reversed(view.levels):
+        s = slice(start, stop)
+        up[s] = view.mag0[s] * up[view.succ0[s]] + view.mag1[s] * up[view.succ1[s]]
     return up
 
 
-def downstream(dd: StateDD) -> dict[Node, float]:
-    """Level-ordered top-down accumulation over incoming edges."""
-    down: dict[Node, float] = {}
-    root_t = dd.root.target
-    if root_t is TERMINAL:
+def _downstream(dd: StateDD) -> np.ndarray:
+    """Downstream per node index, top-down.
+
+    A node's mass is summed over its incoming edges in parent (level, uid)
+    order, 0-successor edge before 1-successor edge: the stable sort by
+    child keeps that order, and bincount adds each bin's weights in turn.
+    """
+    view = dd.view
+    m = len(view.nodes)
+    down = np.empty(m)
+    if not m:
         return down
-    down[root_t] = sqr_mag(dd.root.weight)
-    order = sorted(reachable_nodes(dd), key=lambda v: (v.level, v.uid))
-    for node in order:
-        d = down[node]
-        for e in (node.succ0, node.succ1):
-            if e.target is not TERMINAL:
-                down[e.target] = down.get(e.target, 0.0) + d * sqr_mag(e.weight)
+    child = np.stack((view.succ0, view.succ1), axis=1).ravel()
+    mag = np.stack((view.mag0, view.mag1), axis=1).ravel()
+    parent = np.repeat(np.arange(m), 2)
+    order = np.argsort(child, kind="stable")
+    order = order[child[order] < m]  # edges into the terminal carry no node
+    child, mag, parent = child[order], mag[order], parent[order]
+    down[0] = sqr_mag(dd.root.weight)  # the root is alone on the top level
+    for _, start, stop in view.levels[1:]:
+        a, b = np.searchsorted(child, (start, stop))
+        down[start:stop] = np.bincount(
+            child[a:b] - start, weights=down[parent[a:b]] * mag[a:b], minlength=stop - start
+        )
     return down
+
+
+def upstream(dd: StateDD) -> dict:
+    """Upstream of every reachable node, plus the terminal (mapped to 1.0)."""
+    view = dd.view
+    up = _upstream(view).tolist()
+    out = dict(zip(view.nodes, up))
+    out[TERMINAL] = up[-1]
+    return out
+
+
+def downstream(dd: StateDD) -> dict[Node, float]:
+    """Downstream of every reachable node."""
+    return dict(zip(dd.view.nodes, _downstream(dd).tolist()))
 
 
 def contributions(dd: StateDD) -> dict[Node, float]:
     """downstream * upstream per node; each level sums to 1 on unit norm."""
-    up = upstream(dd)
-    return {v: d * up[v] for v, d in downstream(dd).items()}
+    view = dd.view
+    contrib = _downstream(dd) * _upstream(view)[:-1]
+    return dict(zip(view.nodes, contrib.tolist()))
 
 
 def nodes_by_level(dd: StateDD) -> dict[int, list[Node]]:
     """Reachable nonterminal nodes grouped by level, each group in uid order."""
-    groups: dict[int, list[Node]] = {}
-    for node in sorted(reachable_nodes(dd), key=lambda v: (v.level, v.uid)):
-        groups.setdefault(node.level, []).append(node)
-    return groups
+    view = dd.view
+    return {level: view.nodes[start:stop] for level, start, stop in view.levels}
+
+
+#: Walks advanced together; bounds sample_paths' memory for any walk count.
+_WALK_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,22 +110,26 @@ def sample_paths(dd: StateDD, traversals: int, seed: int) -> VisitCounts:
     At a node the 1-successor is taken when the walk's next uniform draw
     falls below |w1|^2 * up(succ1) / up(node); zero-stub branches have
     probability exactly 0 and are never taken. Walk i draws from its own
-    substream derived from (seed, i), so adding walks never perturbs
-    earlier ones and walks may be evaluated in any order.
+    substream, `SplitMix64(derive_seed(seed, i))`, so adding walks never
+    perturbs earlier ones. Walks advance in lockstep, one node per step, in
+    blocks of `_WALK_BLOCK` walks.
     """
     if traversals < 1:
         raise ValueError("traversals must be at least 1")
-    up = upstream(dd)
-    counts: dict[Node, int] = {v: 0 for v in reachable_nodes(dd)}
-    p1: dict[Node, float] = {}
-    for v in counts:
-        e = v.succ1
-        p1[v] = sqr_mag(e.weight) * up[e.target] / up[v]
-    root_t = dd.root.target
-    for i in range(traversals):
-        rng = SplitMix64(derive_seed(seed, i))
-        node = root_t
-        while node is not TERMINAL:
-            counts[node] += 1
-            node = (node.succ1 if rng.random() < p1[node] else node.succ0).target
-    return VisitCounts(counts, traversals, seed)
+    view = dd.view
+    m = len(view.nodes)
+    up = _upstream(view)
+    p1 = view.mag1 * up[view.succ1] / up[:-1]
+    counts = np.zeros(m, dtype=np.int64)
+    for first in range(0, traversals if m else 0, _WALK_BLOCK):
+        states = derive_seeds(seed, first, min(first + _WALK_BLOCK, traversals))
+        at = np.zeros(states.size, dtype=np.intp)  # every walk starts at the root
+        while at.size:
+            lo, hi = int(at.min()), int(at.max()) + 1
+            counts[lo:hi] += np.bincount(at - lo, minlength=hi - lo)
+            take1 = random_array(states) < p1[at]
+            at = np.where(take1, view.succ1[at], view.succ0[at])
+            live = at < m
+            if not live.all():
+                at, states = at[live], states[live]
+    return VisitCounts(dict(zip(view.nodes, counts.tolist())), traversals, seed)

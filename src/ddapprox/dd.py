@@ -19,14 +19,21 @@ Node weights are normalized when the node is built:
 The divisor is folded into the incoming edge, so inner weights always have
 magnitude at most 1. A ``DDPackage`` owns one value table plus one unique
 table; nodes are immutable and interned, and distinct packages are fully
-independent. A package is a single-threaded unit, but read-only queries may
-run concurrently on a frozen one.
+independent.
+
+A package and its states are a single-threaded unit; no query is safe to run
+concurrently with another. The first analysis call on a state writes its
+level-array view (``StateDD.view``) to the state, and ``amplitude``,
+``inner_product`` and ``renormalize`` insert values into the package's value
+table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -233,6 +240,50 @@ def reachable_nodes(dd: "StateDD") -> list[Node]:
     return out
 
 
+class LevelView:
+    """Read-only arrays over a state's reachable nodes in (level, uid) order.
+
+    Node ``i`` is ``nodes[i]``; the terminal is the sentinel index
+    ``len(nodes)``, which zero-stubs point to as well. ``succ0``/``succ1``
+    hold successor indices and ``mag0``/``mag1`` the squared weight
+    magnitudes |w0|^2, |w1|^2. ``levels`` lists ``(level, start, stop)`` for
+    each occupied level, top down, with ``nodes[start:stop]`` on that level.
+    Successors always sit on a deeper level, so passes over the diagram can
+    go one whole level at a time, bottom-up or top-down.
+    """
+
+    __slots__ = ("nodes", "succ0", "succ1", "mag0", "mag1", "levels")
+
+    def __init__(self, nodes: list[Node]):
+        # two stable sorts on int keys: several times faster than tuple keys
+        nodes = sorted(nodes, key=attrgetter("uid"))
+        nodes.sort(key=attrgetter("level"))
+        m = len(nodes)
+        index: dict = dict(zip(nodes, range(m)))
+        index[TERMINAL] = m
+        self.nodes = nodes
+        self.succ0, self.mag0 = _edge_arrays(nodes, "succ0", index)
+        self.succ1, self.mag1 = _edge_arrays(nodes, "succ1", index)
+        lv = [v.level for v in nodes]
+        cuts = [i for i in range(1, m) if lv[i] != lv[i - 1]]
+        self.levels = tuple(
+            (lv[a], a, b) for a, b in zip([0, *cuts], [*cuts, m]) if a < b
+        )
+
+
+def _edge_arrays(nodes: list[Node], slot: str, index: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only successor indices and |w|^2 of one successor slot."""
+    m = len(nodes)
+    edges = list(map(attrgetter(slot), nodes))
+    weights = list(map(attrgetter("weight"), edges))
+    succ = np.fromiter(map(index.__getitem__, map(attrgetter("target"), edges)), np.intp, m)
+    re = np.fromiter(map(attrgetter("re"), weights), np.float64, m)
+    im = np.fromiter(map(attrgetter("im"), weights), np.float64, m)
+    mag = re * re + im * im  # the same products and sum as sqr_mag, bit for bit
+    succ.flags.writeable = mag.flags.writeable = False
+    return succ, mag
+
+
 def _path_mass(edge: Edge, memo: dict[Node, float]) -> float:
     """Sum over all paths below `edge` of the squared weight products."""
     w2 = sqr_mag(edge.weight)
@@ -263,6 +314,11 @@ class StateDD:
     def size(self) -> int:
         """Distinct nonterminal nodes reachable from the root."""
         return len(reachable_nodes(self))
+
+    @cached_property
+    def view(self) -> LevelView:
+        """The state's level-array view, built on first use and kept."""
+        return LevelView(reachable_nodes(self))
 
     def norm(self) -> float:
         return math.sqrt(_path_mass(self.root, {}))

@@ -1,19 +1,31 @@
 """Seedable 64-bit generator with a fixed, documented stream.
 
 Every stochastic result in this package is a pure function of the seeds fed
-into these helpers, so runs are reproducible bit-for-bit.
+into these helpers, so runs are reproducible bit-for-bit. The array helpers
+draw many substreams in lockstep and give exactly the scalar stream's values.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def _scramble(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
+
+
+def scramble_array(z: np.ndarray) -> np.ndarray:
+    """`_scramble` applied to every entry of a uint64 array (wrapping products)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
 
 
 class SplitMix64:
@@ -40,3 +52,20 @@ def derive_seed(seed: int, index: int) -> int:
     parallel without changing results.
     """
     return _scramble((seed + (index + 1) * _GOLDEN) & _MASK64)
+
+
+def derive_seeds(seed: int, start: int, stop: int) -> np.ndarray:
+    """`derive_seed(seed, i)` for start <= i < stop, as a uint64 array."""
+    steps = np.arange(start + 1, stop + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return scramble_array(np.uint64(seed & _MASK64) + steps)
+
+
+def random_array(states: np.ndarray) -> np.ndarray:
+    """`SplitMix64.random` for many streams at once.
+
+    `states` holds one splitmix64 state per stream (seeded like
+    `SplitMix64(s)` with `s` from `derive_seeds`); each is stepped in place,
+    so the k-th call returns every stream's k-th draw.
+    """
+    states += np.uint64(_GOLDEN)
+    return (scramble_array(states) >> np.uint64(11)).astype(np.float64) * 2.0**-53

@@ -1,13 +1,22 @@
-"""Dense-vector reference implementations used as independent test oracles.
+"""Reference implementations used as independent test oracles.
 
-Everything here works on flat numpy arrays indexed with q0 as the most
-significant bit, and deliberately shares no code with the diagram engine:
+The dense functions work on flat numpy arrays indexed with q0 as the most
+significant bit, and deliberately share no code with the diagram engine:
 gates become full 2**n x 2**n matrices via Kronecker products, controlled
 gates come from projector sums, and elimination is plain masking plus
 rescaling.
+
+The node-by-node functions at the end walk a diagram one node and one walk
+at a time, in plain Python dicts: the straightforward form of the analysis
+passes that the package computes level-wise over arrays. They compute every
+float with the same operations in the same order, so results compare with
+`==`.
 """
 
 import numpy as np
+
+from ddapprox import TERMINAL
+from ddapprox.rng import SplitMix64, derive_seed
 
 _S2 = 1.0 / np.sqrt(2.0)
 _I2 = np.eye(2, dtype=complex)
@@ -106,8 +115,6 @@ def eliminate_dense(vec, zero_mask):
 
 def doomed_mask(dd, doomed):
     """Boolean mask of basis states whose diagram path crosses a doomed node."""
-    from ddapprox import TERMINAL
-
     n = dd.n
     doomed = set(doomed)
     mask = np.zeros(1 << n, dtype=bool)
@@ -128,3 +135,79 @@ def kept_mass(orig_vec, approx_vec):
     """Total original probability on the basis states the approximation kept."""
     kept = np.abs(approx_vec) > 0.0
     return float(np.sum(np.abs(orig_vec[kept]) ** 2))
+
+
+# -- node-by-node analysis references ----------------------------------------
+
+
+def _mag2(w):
+    return w.re * w.re + w.im * w.im
+
+
+def _nodes_in_level_order(dd):
+    seen = set()
+    stack = [dd.root.target]
+    while stack:
+        t = stack.pop()
+        if t is TERMINAL or t in seen:
+            continue
+        seen.add(t)
+        stack += [t.succ0.target, t.succ1.target]
+    return sorted(seen, key=lambda v: (v.level, v.uid))
+
+
+def upstream_ref(dd):
+    """Memoized recursion; the terminal maps to 1.0."""
+    up = {TERMINAL: 1.0}
+
+    def visit(t):
+        val = up.get(t)
+        if val is None:
+            val = _mag2(t.succ0.weight) * visit(t.succ0.target) + _mag2(
+                t.succ1.weight
+            ) * visit(t.succ1.target)
+            up[t] = val
+        return val
+
+    visit(dd.root.target)
+    return up
+
+
+def downstream_ref(dd):
+    """Accumulate each parent's mass into its children, parents in (level, uid)
+    order, 0-successor first."""
+    down = {}
+    if dd.root.target is TERMINAL:
+        return down
+    down[dd.root.target] = _mag2(dd.root.weight)
+    for node in _nodes_in_level_order(dd):
+        d = down[node]
+        for e in (node.succ0, node.succ1):
+            if e.target is not TERMINAL:
+                down[e.target] = down.get(e.target, 0.0) + d * _mag2(e.weight)
+    return down
+
+
+def contributions_ref(dd):
+    up = upstream_ref(dd)
+    return {v: d * up[v] for v, d in downstream_ref(dd).items()}
+
+
+def replay_walks(dd, traversals, seed):
+    """Visit counts of the documented walks, replayed one walk at a time.
+
+    Walk i draws from SplitMix64(derive_seed(seed, i)), one draw per node it
+    visits, and takes the 1-successor when the draw is below
+    |w1|^2 * up(succ1) / up(node). Every reachable node gets a count.
+    """
+    up = upstream_ref(dd)
+    counts = {v: 0 for v in _nodes_in_level_order(dd)}
+    for i in range(traversals):
+        stream = SplitMix64(derive_seed(seed, i))
+        node = dd.root.target
+        while node is not TERMINAL:
+            counts[node] += 1
+            e1 = node.succ1
+            p1 = _mag2(e1.weight) * up[e1.target] / up[node]
+            node = (node.succ1 if stream.random() < p1 else node.succ0).target
+    return counts
