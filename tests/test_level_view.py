@@ -13,8 +13,14 @@ from ddapprox import (
     sample_paths,
     upstream,
 )
-from ddapprox.rng import SplitMix64, _scramble, derive_seed, derive_seeds, random_array
-from ddapprox.rng import scramble_array
+from ddapprox.rng import (
+    SplitMix64,
+    _scramble,
+    derive_seed,
+    derive_seeds,
+    random_array,
+    scramble_array,
+)
 
 import dense_ref
 
