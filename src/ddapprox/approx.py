@@ -9,7 +9,7 @@ the original state equals the kept probability mass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Union, get_args
 
 from .analysis import contributions, nodes_by_level, sample_paths
 from .dd import TERMINAL, Edge, Node, StateDD
@@ -17,9 +17,35 @@ from .errors import ZeroStateError
 from .fidelity import fidelity as state_fidelity
 
 
+#: Shaved off every elimination budget so accumulated floating-point rounding
+#: can never push the kept mass below the promised fidelity floor.
+_BUDGET_SLACK = 1e-10
+
+
+def _budget_prefix(nodes, contrib, budget: float) -> list[Node]:
+    """Longest ascending-contribution prefix whose running sum stays <= budget.
+
+    The first node that would push the sum past the budget is kept, as is
+    everything after it. Ties in contribution fall back to creation order.
+    """
+    doomed: list[Node] = []
+    acc = 0.0
+    limit = budget - _BUDGET_SLACK
+    for v in sorted(nodes, key=lambda v: (contrib[v], v.uid)):
+        acc += contrib[v]
+        if acc > limit:
+            break
+        doomed.append(v)
+    return doomed
+
+
 @dataclass(frozen=True)
 class Sampling:
-    """Keep exactly the nodes visited by `traversals` sampled walks."""
+    """Keep exactly the nodes visited by `traversals` sampled walks.
+
+    Every node never visited is dropped; this is Threshold with tau = 0. At
+    least one path is always walked, so the state cannot vanish.
+    """
 
     traversals: int
     seed: int = 0
@@ -33,10 +59,16 @@ class Sampling:
     def param(self):
         return self.traversals
 
+    def candidates(self, dd: StateDD) -> list[list[Node]]:
+        return Threshold(self.traversals, 0, self.seed).candidates(dd)
+
 
 @dataclass(frozen=True)
 class Threshold:
-    """Drop nodes visited `tau` times or fewer across `traversals` walks."""
+    """Drop nodes visited `tau` times or fewer across `traversals` walks.
+
+    The root is visited by every walk, so it always survives (tau < traversals).
+    """
 
     traversals: int
     tau: int
@@ -53,10 +85,23 @@ class Threshold:
     def param(self):
         return self.tau
 
+    def candidates(self, dd: StateDD) -> list[list[Node]]:
+        counts = sample_paths(dd, self.traversals, self.seed).counts
+        return [[v for v, c in counts.items() if c <= self.tau]]
+
 
 @dataclass(frozen=True)
 class TargetFidelity:
-    """One-level elimination with a hard fidelity floor."""
+    """One-level elimination guaranteed to keep fidelity >= `fidelity`.
+
+    Nodes of the chosen level are dropped in ascending contribution order
+    while the dropped mass stays within 1 - fidelity; since same-level nodes
+    carve the state into disjoint path bundles, the kept mass (and hence the
+    fidelity) stays at or above the target. `level` is a fixed index or
+    "best", which offers every level as a candidate, so the one whose
+    elimination leaves the smallest diagram wins (ties to the smallest
+    level). When no node fits the budget anywhere, the state is unchanged.
+    """
 
     fidelity: float
     level: Union[int, str] = "best"
@@ -72,10 +117,26 @@ class TargetFidelity:
     def param(self):
         return self.fidelity
 
+    def candidates(self, dd: StateDD) -> list[list[Node]]:
+        if self.level != "best" and not 0 <= self.level < max(dd.n, 1):
+            raise ValueError(f"level must lie in [0, {dd.n}) for this state")
+        contrib = contributions(dd)
+        groups = nodes_by_level(dd)
+        budget = 1.0 - self.fidelity
+        levels = range(dd.n) if self.level == "best" else [self.level]
+        return [_budget_prefix(groups.get(lvl, ()), contrib, budget) for lvl in levels]
+
 
 @dataclass(frozen=True)
 class PerLevelFidelity:
-    """The same budgeted elimination applied to every level at once."""
+    """The same budgeted elimination applied to every level at once.
+
+    Each level's ascending prefix is chosen on the original state's
+    contribution map, the union is eliminated once, and the attained
+    fidelity is bounded below by fidelity ** (n - 1): the root level can
+    never shed its single full-mass node, and each remaining level keeps
+    at least `fidelity` of the mass it sees.
+    """
 
     fidelity: float
     name = "per-level"
@@ -87,6 +148,10 @@ class PerLevelFidelity:
     @property
     def param(self):
         return self.fidelity
+
+    def candidates(self, dd: StateDD) -> list[list[Node]]:
+        prefixes = TargetFidelity(self.fidelity).candidates(dd)  # one per level
+        return [[v for prefix in prefixes for v in prefix]]
 
 
 Scheme = Union[Sampling, Threshold, TargetFidelity, PerLevelFidelity]
@@ -138,134 +203,47 @@ def eliminate(dd: StateDD, doomed: Iterable[Node]) -> StateDD:
     return StateDD(dd.n, root, pkg).renormalize()
 
 
-def _report(dd: StateDD, out: StateDD, scheme: Scheme, eliminated: int) -> ApproxReport:
-    orig = dd.size()
-    new = out.size()
-    if out.root == dd.root:
-        attained = 1.0  # identity transformation; skip the noisy self-overlap
-    else:
-        attained = state_fidelity(dd, out)
-    return ApproxReport(
+def apply_scheme(dd: StateDD, scheme: Scheme):
+    """Approximate `dd` with `scheme`; returns (approximated state, report).
+
+    A scheme only selects: `scheme.candidates(dd)` lists candidate doomed
+    sets in order. Each non-empty one is eliminated in turn and the first
+    smallest result is kept (ties go to the earlier candidate); with no
+    non-empty candidate `dd` is returned unchanged.
+    """
+    if not isinstance(scheme, get_args(Scheme)):
+        raise TypeError(f"unknown scheme {scheme!r}")
+    best = None
+    for doomed in scheme.candidates(dd):
+        if doomed:
+            out = eliminate(dd, doomed)
+            size = out.size()
+            if best is None or size < best[1]:
+                best = (out, size, len(doomed))
+    orig = len(dd.view.nodes)  # every scheme's selection has built the view
+    out, size, eliminated = best or (dd, orig, 0)
+    return out, ApproxReport(
         scheme=scheme,
         orig_size=orig,
-        approx_size=new,
-        compression=new / orig if orig else 1.0,
-        attained_fidelity=attained,
+        approx_size=size,
+        compression=size / orig if orig else 1.0,
+        # identity transformation: skip the noisy self-overlap
+        attained_fidelity=1.0 if out.root == dd.root else state_fidelity(dd, out),
         eliminated=eliminated,
     )
 
 
 def approx_sampling(dd: StateDD, traversals: int, seed: int = 0):
-    """Drop every node never visited across `traversals` sampled walks.
-
-    At least one path is always walked, so the state cannot vanish.
-    Returns (approximated state, report).
-    """
-    scheme = Sampling(traversals, seed)
-    counts = sample_paths(dd, traversals, seed)
-    doomed = [v for v, c in counts.counts.items() if c == 0]
-    out = eliminate(dd, doomed) if doomed else dd
-    return out, _report(dd, out, scheme, len(doomed))
+    return apply_scheme(dd, Sampling(traversals, seed))
 
 
 def approx_threshold(dd: StateDD, traversals: int, tau: int, seed: int = 0):
-    """Drop nodes visited `tau` times or fewer; tau = 0 matches approx_sampling.
-
-    The root is visited by every walk, so it always survives (tau < traversals).
-    Returns (approximated state, report).
-    """
-    scheme = Threshold(traversals, tau, seed)
-    counts = sample_paths(dd, traversals, seed)
-    doomed = [v for v, c in counts.counts.items() if c <= tau]
-    out = eliminate(dd, doomed) if doomed else dd
-    return out, _report(dd, out, scheme, len(doomed))
-
-
-#: Shaved off every elimination budget so accumulated floating-point rounding
-#: can never push the kept mass below the promised fidelity floor.
-_BUDGET_SLACK = 1e-10
-
-
-def _budget_prefix(nodes, contrib, budget: float) -> list[Node]:
-    """Longest ascending-contribution prefix whose running sum stays <= budget.
-
-    The first node that would push the sum past the budget is kept, as is
-    everything after it. Ties in contribution fall back to creation order.
-    """
-    doomed: list[Node] = []
-    acc = 0.0
-    limit = budget - _BUDGET_SLACK
-    for v in sorted(nodes, key=lambda v: (contrib[v], v.uid)):
-        acc += contrib[v]
-        if acc > limit:
-            break
-        doomed.append(v)
-    return doomed
+    return apply_scheme(dd, Threshold(traversals, tau, seed))
 
 
 def approx_target_fidelity(dd: StateDD, target: float, level: Union[int, str] = "best"):
-    """One-level elimination guaranteed to keep fidelity >= target.
-
-    Nodes of the chosen level are dropped in ascending contribution order
-    while the dropped mass stays within 1 - target; since same-level nodes
-    carve the state into disjoint path bundles, the kept mass (and hence the
-    fidelity) stays at or above the target. `level` is a fixed index or
-    "best", which tries every level and commits to the one whose elimination
-    leaves the smallest diagram (ties to the smallest level). When no node
-    fits the budget anywhere, the state is returned unchanged.
-
-    Returns (approximated state, report).
-    """
-    scheme = TargetFidelity(target, level)
-    if level != "best" and not 0 <= level < max(dd.n, 1):
-        raise ValueError(f"level must lie in [0, {dd.n}) for this state")
-    contrib = contributions(dd)
-    groups = nodes_by_level(dd)
-    budget = 1.0 - target
-    candidates = range(dd.n) if level == "best" else [level]
-    best_out: StateDD | None = None
-    best_doomed: list[Node] = []
-    for lvl in candidates:
-        doomed = _budget_prefix(groups.get(lvl, ()), contrib, budget)
-        if not doomed:
-            continue
-        out = eliminate(dd, doomed)
-        if best_out is None or out.size() < best_out.size():
-            best_out, best_doomed = out, doomed
-    if best_out is None:
-        return dd, _report(dd, dd, scheme, 0)
-    return best_out, _report(dd, best_out, scheme, len(best_doomed))
+    return apply_scheme(dd, TargetFidelity(target, level))
 
 
 def approx_per_level(dd: StateDD, target: float):
-    """Budgeted elimination at every level in one pass.
-
-    Each level's ascending prefix is chosen on the original state's
-    contribution map, the union is eliminated once, and the attained
-    fidelity is bounded below by target ** (n - 1): the root level can
-    never shed its single full-mass node, and each remaining level keeps
-    at least `target` of the mass it sees.
-
-    Returns (approximated state, report).
-    """
-    scheme = PerLevelFidelity(target)
-    contrib = contributions(dd)
-    budget = 1.0 - target
-    doomed: list[Node] = []
-    for _, nodes in sorted(nodes_by_level(dd).items()):
-        doomed.extend(_budget_prefix(nodes, contrib, budget))
-    out = eliminate(dd, doomed) if doomed else dd
-    return out, _report(dd, out, scheme, len(doomed))
-
-
-def apply_scheme(dd: StateDD, scheme: Scheme):
-    """Dispatch on the scheme descriptor; returns (approximated state, report)."""
-    if isinstance(scheme, Sampling):
-        return approx_sampling(dd, scheme.traversals, scheme.seed)
-    if isinstance(scheme, Threshold):
-        return approx_threshold(dd, scheme.traversals, scheme.tau, scheme.seed)
-    if isinstance(scheme, TargetFidelity):
-        return approx_target_fidelity(dd, scheme.fidelity, scheme.level)
-    if isinstance(scheme, PerLevelFidelity):
-        return approx_per_level(dd, scheme.fidelity)
-    raise TypeError(f"unknown scheme {scheme!r}")
+    return apply_scheme(dd, PerLevelFidelity(target))

@@ -182,7 +182,7 @@ def simulate(
         root = state.root
         for op in _primitive_ops(gate):
             if op.kind in ONE_QUBIT:
-                root = _apply_single(pkg, root, _matrix(op.kind, op.angle), op.qubits[0])
+                root = _apply_matrix(pkg, root, _matrix(op.kind, op.angle), op.qubits[0], {}, {})
             else:
                 base = {"cx": "x", "cz": "z", "cp": "p"}[op.kind]
                 root = _apply_controlled(
@@ -271,10 +271,6 @@ def _apply_matrix(pkg, edge, mat, target_level, memo, add_memo) -> Edge:
     if res.weight is t.zero:
         return pkg.zero_stub
     return Edge(res.target, t.mul(edge.weight, res.weight))
-
-
-def _apply_single(pkg: DDPackage, root: Edge, mat, target: int) -> Edge:
-    return _apply_matrix(pkg, root, mat, target, {}, {})
 
 
 def _apply_controlled(pkg: DDPackage, root: Edge, mat, control: int, target: int) -> Edge:

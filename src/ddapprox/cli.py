@@ -1,7 +1,8 @@
 """Command-line driver: build a state, approximate it, report the trade-off.
 
 Exit codes: 0 success, 2 parse/usage errors, 3 the approximation zeroed the
-whole state, 4 I/O failure.
+whole state (for `sweep`: at one or more grid values, whose rows are left
+out while the other rows are still written), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -179,16 +180,22 @@ def _cmd_sweep(args) -> int:
     pkg = DDPackage()
     benchmark, state = _build_state(pkg, args)
     rows = []
+    failed = False
     for value in values:
         scheme = _make_scheme(args, override=value)
-        _, report = apply_scheme(state, scheme)
-        rows.append(_csv_row(benchmark, scheme, report))
+        try:
+            _, report = apply_scheme(state, scheme)
+        except ZeroStateError as exc:  # leave the row out, keep the others
+            print(f"error: {scheme.name}({scheme.param}): {exc}", file=sys.stderr)
+            failed = True
+        else:
+            rows.append(_csv_row(benchmark, scheme, report))
     text = "\n".join([CSV_HEADER, *rows]) + "\n"
     if args.csv:
         Path(args.csv).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    return 0
+    return 3 if failed else 0
 
 
 def main(argv=None) -> int:

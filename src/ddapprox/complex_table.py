@@ -106,18 +106,6 @@ class ComplexTable:
             return self.zero
         return self.lookup(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
 
-    def add(self, a: ComplexValue, b: ComplexValue) -> ComplexValue:
-        if a is self.zero:
-            return b
-        if b is self.zero:
-            return a
-        return self.lookup(a.re + b.re, a.im + b.im)
-
-    def conj(self, a: ComplexValue) -> ComplexValue:
-        if a.im == 0.0:
-            return a
-        return self.lookup(a.re, -a.im)
-
     def div(self, a: ComplexValue, b: ComplexValue) -> ComplexValue:
         """a / b canonicalized; b must be nonzero."""
         if b is self.zero:

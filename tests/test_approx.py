@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddapprox import (
+    DDPackage,
     PerLevelFidelity,
     Sampling,
     TargetFidelity,
@@ -90,20 +93,43 @@ def test_eliminate_matches_dense_oracle(pkg):
 
 def test_apply_scheme_dispatch(pkg):
     dd = pkg.from_vector(DEMO_VECTOR)
-    for scheme in (
-        Sampling(50, seed=1),
-        Threshold(50, 2, seed=1),
-        TargetFidelity(0.5),
-        PerLevelFidelity(0.5),
+    for scheme, direct in (
+        (Sampling(50, seed=1), lambda: approx_sampling(dd, 50, seed=1)),
+        (Threshold(50, 2, seed=1), lambda: approx_threshold(dd, 50, 2, seed=1)),
+        (TargetFidelity(0.5), lambda: approx_target_fidelity(dd, 0.5)),
+        (PerLevelFidelity(0.5), lambda: approx_per_level(dd, 0.5)),
     ):
         out, report = apply_scheme(dd, scheme)
         out.validate()
         assert report.scheme == scheme
+        assert report.orig_size == dd.size()
+        assert report.approx_size == out.size()
         assert report.approx_size <= report.orig_size
         recomputed = fidelity(dd, out)
         assert abs(report.attained_fidelity - recomputed) < 1e-12
+        assert direct()[0].root == out.root
     with pytest.raises(TypeError):
         apply_scheme(dd, "sampling")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    target=st.sampled_from([0.3, 0.6, 0.9, 0.99]),
+)
+def test_best_level_is_first_smallest_fixed_level(n, seed, target):
+    vec = dense_ref.random_state(np.random.default_rng(seed), n)
+    fixed = [
+        approx_target_fidelity(DDPackage().from_vector(vec), target, level=lvl)
+        for lvl in range(n)
+    ]
+    sizes = [report.approx_size for _, report in fixed]
+    first = sizes.index(min(sizes))
+    out, report = approx_target_fidelity(DDPackage().from_vector(vec), target)
+    assert report.approx_size == sizes[first]
+    assert report.eliminated == fixed[first][1].eliminated
+    assert np.allclose(out.to_vector(), fixed[first][0].to_vector(), atol=1e-9)
 
 
 def test_sampling_three_walk_worked_case(pkg):

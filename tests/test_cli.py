@@ -211,6 +211,36 @@ def test_exit_code_usage_errors(capsys):
     assert code == 2
 
 
+# at tau = 50 no node of this state survives the threshold
+RANDOM_THRESHOLD = (
+    "--builtin", "random", "10", "30", "3",
+    "--scheme", "threshold", "--traversals", "500", "--seed", "7",
+)
+
+
+def test_exit_code_zeroed_state(capsys):
+    code, out, err = run_cli(capsys, "run", *RANDOM_THRESHOLD, "--tau", "50")
+    assert code == 3
+    assert out == ""
+    assert "probability mass" in err
+
+
+def test_sweep_writes_surviving_rows_when_a_value_zeroes_the_state(capsys, tmp_path):
+    csv = tmp_path / "sweep.csv"
+    code, _, err = run_cli(
+        capsys, "sweep", *RANDOM_THRESHOLD, "--grid", "0,5,50", "--csv", str(csv)
+    )
+    assert code == 3
+    assert err.splitlines() == [
+        "error: threshold(50): elimination removed all probability mass"
+    ]
+    lines = csv.read_text().splitlines()
+    assert [line.split(",")[2] for line in lines[1:]] == ["0", "5"]
+    code, out, _ = run_cli(capsys, "sweep", *RANDOM_THRESHOLD, "--grid", "0,5")
+    assert code == 0
+    assert out.splitlines() == lines
+
+
 def test_sweep_target_fidelity_columns(capsys, tmp_path):
     csv = tmp_path / "sweep.csv"
     grid = ",".join(str(round(0.1 * k, 1)) for k in range(1, 11))

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,27 +68,12 @@ def test_mul_chain_matches_worked_product():
     assert out.im == 0.0
 
 
-def test_conj_and_sqr_mag():
+def test_sqr_mag():
     t = ComplexTable()
     v = t.lookup(0.3, 0.4)
-    c = t.conj(v)
-    assert (c.re, c.im) == (0.3, -0.4)
     assert sqr_mag(v) == pytest.approx(0.25, abs=1e-15)
-    assert sqr_mag(c) == sqr_mag(v)
     r = t.lookup(1 / math.sqrt(2.0), 0.0)
     assert sqr_mag(r) == pytest.approx(0.5, abs=1e-15)
-    assert t.conj(r) is r
-
-
-def test_add_matches_plain_float_oracle():
-    t = ComplexTable()
-    rng = np.random.default_rng(3)
-    for _ in range(16):
-        ar, ai, br, bi = rng.uniform(-1, 1, size=4)
-        a, b = t.lookup(ar, ai), t.lookup(br, bi)
-        out = t.add(a, b)
-        assert abs(out.re - (ar + br)) <= 2 * t.tol
-        assert abs(out.im - (ai + bi)) <= 2 * t.tol
 
 
 def test_div_exact_cases():
@@ -116,5 +100,5 @@ def test_lookup_idempotent(re, im):
 def test_all_stored_components_finite(re, im):
     t = ComplexTable()
     v = t.lookup(re, im)
-    w = t.mul(v, t.conj(v))
+    w = t.mul(v, t.lookup(v.re, -v.im))
     assert math.isfinite(w.re) and math.isfinite(w.im)
