@@ -213,15 +213,14 @@ def apply_scheme(dd: StateDD, scheme: Scheme):
     """
     if not isinstance(scheme, get_args(Scheme)):
         raise TypeError(f"unknown scheme {scheme!r}")
-    best = None
+    orig = len(dd.view.nodes)  # the selection reuses the cached view
+    out, size, eliminated = dd, orig, 0
     for doomed in scheme.candidates(dd):
         if doomed:
-            out = eliminate(dd, doomed)
-            size = out.size()
-            if best is None or size < best[1]:
-                best = (out, size, len(doomed))
-    orig = len(dd.view.nodes)  # every scheme's selection has built the view
-    out, size, eliminated = best or (dd, orig, 0)
+            trial = eliminate(dd, doomed)
+            trial_size = trial.size()
+            if not eliminated or trial_size < size:  # the first trial always counts
+                out, size, eliminated = trial, trial_size, len(doomed)
     return out, ApproxReport(
         scheme=scheme,
         orig_size=orig,
