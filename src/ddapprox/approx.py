@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union, get_args
 
 from .analysis import contributions, nodes_by_level, sample_paths
-from .dd import TERMINAL, Edge, Node, StateDD
+from .dd import Node, StateDD, rebuild
 from .errors import ZeroStateError
 from .fidelity import fidelity as state_fidelity
 
@@ -177,28 +177,9 @@ def eliminate(dd: StateDD, doomed: Iterable[Node]) -> StateDD:
     Raises ZeroStateError when no probability mass remains.
     """
     pkg = dd.package
-    t = pkg.table
     doomed = set(doomed)
-    memo: dict[Node, Edge] = {}
-
-    def rebuild(edge: Edge) -> Edge:
-        target = edge.target
-        if target is TERMINAL:
-            return edge
-        if target in doomed:
-            return pkg.zero_stub
-        res = memo.get(target)
-        if res is None:
-            res = pkg.make_node(
-                target.level, rebuild(target.succ0), rebuild(target.succ1)
-            )
-            memo[target] = res
-        if res.weight is t.zero:
-            return pkg.zero_stub
-        return Edge(res.target, t.mul(edge.weight, res.weight))
-
-    root = rebuild(dd.root)
-    if root.weight is t.zero:
+    root = rebuild(pkg, dd.root, lambda v: pkg.zero_stub if v in doomed else None, {})
+    if root.weight is pkg.table.zero:
         raise ZeroStateError("elimination removed all probability mass")
     return StateDD(dd.n, root, pkg).renormalize()
 

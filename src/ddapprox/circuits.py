@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .dd import DDPackage, Edge, StateDD, TERMINAL
+from .dd import DDPackage, Edge, StateDD, TERMINAL, rebuild
 from .errors import CircuitParseError, DDError
 from .rng import SplitMix64
 
@@ -88,26 +88,17 @@ def parse(text: str) -> Circuit:
         kind = tokens[0]
         args = tokens[1:]
         angle: float | None = None
-        if kind in ANGLED:
-            if not args:
-                raise CircuitParseError(line_no, f"{kind} needs an angle")
+        if kind in ANGLED and args:
             angle = _parse_float(args[0], line_no, "angle")
             args = args[1:]
-        if kind in ONE_QUBIT:
-            want = 1
-        elif kind in TWO_QUBIT:
-            want = 2
-        else:
-            raise CircuitParseError(line_no, f"unknown gate {kind!r}")
-        if len(args) != want:
-            raise CircuitParseError(line_no, f"{kind} takes {want} qubit index(es)")
         qubits = tuple(_parse_int(a, line_no, "qubit index") for a in args)
+        try:
+            gates.append(Gate(kind, qubits, angle))
+        except ValueError as exc:
+            raise CircuitParseError(line_no, str(exc)) from None
         for q in qubits:
             if not 0 <= q < n:
                 raise CircuitParseError(line_no, f"qubit index {q} out of range")
-        if len(set(qubits)) != len(qubits):
-            raise CircuitParseError(line_no, f"{kind} qubits must be distinct")
-        gates.append(Gate(kind, qubits, angle))
     if n is None:
         raise CircuitParseError(max(line_no, 1), "missing `qubits <n>` header")
     return Circuit(n, tuple(gates))
@@ -182,12 +173,10 @@ def simulate(
         root = state.root
         for op in _primitive_ops(gate):
             if op.kind in ONE_QUBIT:
-                root = _apply_matrix(pkg, root, _matrix(op.kind, op.angle), op.qubits[0], {}, {})
+                root = _apply(pkg, root, _matrix(op.kind, op.angle), op.qubits[0])
             else:
                 base = {"cx": "x", "cz": "z", "cp": "p"}[op.kind]
-                root = _apply_controlled(
-                    pkg, root, _matrix(base, op.angle), op.qubits[0], op.qubits[1]
-                )
+                root = _apply(pkg, root, _matrix(base, op.angle), op.qubits[1], op.qubits[0])
         state = StateDD(circuit.n, root, pkg)
         drift = abs(state.norm() - 1.0)
         if drift > bound:
@@ -244,62 +233,32 @@ def _add(pkg: DDPackage, ea: Edge, eb: Edge, memo: dict) -> Edge:
     return res
 
 
-def _apply_matrix(pkg, edge, mat, target_level, memo, add_memo) -> Edge:
-    """Rebuild below `edge`, mixing successors by `mat` at `target_level`."""
-    t = pkg.table
-    if edge.weight is t.zero:
-        return pkg.zero_stub
-    node = edge.target
-    res = memo.get(node)
-    if res is None:
-        if node.level == target_level:
-            (u00, u01), (u10, u11) = mat
-            e0 = _add(
-                pkg, _scaled(pkg, node.succ0, u00), _scaled(pkg, node.succ1, u01), add_memo
-            )
-            e1 = _add(
-                pkg, _scaled(pkg, node.succ0, u10), _scaled(pkg, node.succ1, u11), add_memo
-            )
-            res = pkg.make_node(node.level, e0, e1)
-        else:
-            res = pkg.make_node(
-                node.level,
-                _apply_matrix(pkg, node.succ0, mat, target_level, memo, add_memo),
-                _apply_matrix(pkg, node.succ1, mat, target_level, memo, add_memo),
-            )
-        memo[node] = res
-    if res.weight is t.zero:
-        return pkg.zero_stub
-    return Edge(res.target, t.mul(edge.weight, res.weight))
-
-
-def _apply_controlled(pkg: DDPackage, root: Edge, mat, control: int, target: int) -> Edge:
-    """Requires control < target: mix `mat` at `target` inside the 1-cofactor."""
-    t = pkg.table
-    memo: dict = {}
-    inner_memo: dict = {}
+def _apply(pkg: DDPackage, root: Edge, mat, target: int, control: int | None = None) -> Edge:
+    """Mix successors by `mat` at level `target`; with a `control` (which must
+    lie above `target`), only inside the control's 1-cofactor."""
+    (u00, u01), (u10, u11) = mat
     add_memo: dict = {}
 
-    def go(edge: Edge) -> Edge:
-        if edge.weight is t.zero:
-            return pkg.zero_stub
-        node = edge.target
-        res = memo.get(node)
-        if res is None:
-            if node.level == control:
-                res = pkg.make_node(
-                    node.level,
-                    node.succ0,
-                    _apply_matrix(pkg, node.succ1, mat, target, inner_memo, add_memo),
-                )
-            else:
-                res = pkg.make_node(node.level, go(node.succ0), go(node.succ1))
-            memo[node] = res
-        if res.weight is t.zero:
-            return pkg.zero_stub
-        return Edge(res.target, t.mul(edge.weight, res.weight))
+    def mix(node):
+        if node.level != target:
+            return None
+        s0, s1 = node.succ0, node.succ1
+        return pkg.make_node(
+            target,
+            _add(pkg, _scaled(pkg, s0, u00), _scaled(pkg, s1, u01), add_memo),
+            _add(pkg, _scaled(pkg, s0, u10), _scaled(pkg, s1, u11), add_memo),
+        )
 
-    return go(root)
+    if control is None:
+        return rebuild(pkg, root, mix, {})
+    inner_memo: dict = {}
+
+    def controlled(node):
+        if node.level != control:
+            return None
+        return pkg.make_node(control, node.succ0, rebuild(pkg, node.succ1, mix, inner_memo))
+
+    return rebuild(pkg, root, controlled, {})
 
 
 # -- circuit families ---------------------------------------------------

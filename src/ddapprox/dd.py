@@ -210,25 +210,51 @@ class DDPackage:
         Never called implicitly: sizes observed between explicit collections
         are deterministic.
         """
-        keep: set[Node] = set()
-        stack = [e.target for e in roots]
-        while stack:
-            t = stack.pop()
-            if t is TERMINAL or t in keep:
-                continue
-            keep.add(t)
-            stack.append(t.succ0.target)
-            stack.append(t.succ1.target)
+        keep = set(_preorder([e.target for e in roots]))
         before = len(self._unique)
         self._unique = {k: v for k, v in self._unique.items() if v in keep}
         return before - len(self._unique)
 
 
+def rebuild(pkg: DDPackage, edge: Edge, replace, memo: dict) -> Edge:
+    """Copy of the diagram below `edge` with some nodes replaced, re-reduced.
+
+    `replace(node)` returns the edge that stands for `node`, or None to
+    rebuild the node from its rebuilt successors (0-successor first) through
+    `make_node`. Results are memoized per node in `memo`, which callers may
+    share across walks; the incoming weight is multiplied back on.
+    """
+    t = pkg.table
+    if edge.weight is t.zero:
+        return pkg.zero_stub
+    node = edge.target
+    if node is TERMINAL:
+        return edge
+    res = memo.get(node)
+    if res is None:
+        res = replace(node)
+        if res is None:
+            res = pkg.make_node(
+                node.level,
+                rebuild(pkg, node.succ0, replace, memo),
+                rebuild(pkg, node.succ1, replace, memo),
+            )
+        memo[node] = res
+    if res.weight is t.zero:
+        return pkg.zero_stub
+    return Edge(res.target, t.mul(edge.weight, res.weight))
+
+
 def reachable_nodes(dd: "StateDD") -> list[Node]:
     """Reachable nonterminal nodes in depth-first preorder, 0-successor first."""
+    return _preorder([dd.root.target])
+
+
+def _preorder(stack: list) -> list[Node]:
+    """Nonterminal nodes reachable from the targets on `stack`, which is
+    consumed, in depth-first preorder (last target first, 0-successor first)."""
     out: list[Node] = []
     seen: set[Node] = set()
-    stack = [dd.root.target]
     while stack:
         t = stack.pop()
         if t is TERMINAL or t in seen:

@@ -115,16 +115,28 @@ def test_qft_matches_dense_oracle(pkg):
         assert np.max(np.abs(got - want)) < 1e-9
 
 
-def test_every_gate_kind_matches_dense(pkg):
-    text = (
+@pytest.mark.parametrize(
+    "text",
+    [
         "qubits 3\n"
         "h 0\nx 1\ny 2\nz 0\ns 1\nt 2\n"
         "p 0.61 0\n"
         "cx 0 2\ncx 2 0\n"
         "cz 1 2\ncz 2 1\n"
         "cp 1.13 0 1\ncp 2.71 2 0\n"
-        "swap 0 2\nswap 1 0\n"
-    )
+        "swap 0 2\nswap 1 0\n",
+        # controls and targets with untouched levels between them, both orders
+        "qubits 5\n"
+        "h 0\nh 2\nt 4\ny 3\np 0.61 1\n"
+        "cx 0 4\ncx 4 0\n"
+        "cz 1 3\ncz 4 1\n"
+        "cp 1.13 0 3\ncp 2.71 4 1\n"
+        "swap 0 4\nswap 3 1\n"
+        "h 4\ncx 2 0\n",
+    ],
+    ids=["3q", "5q-distant"],
+)
+def test_every_gate_kind_matches_dense(pkg, text):
     circ = parse(text)
     got = simulate(circ, pkg).to_vector()
     want = dense_ref.simulate_dense(circ)

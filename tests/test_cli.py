@@ -314,6 +314,41 @@ def test_sweep_csv_byte_stable(capsys, tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+# Exact rows. The value table keeps the first value that arrives in each
+# tolerance ball, so a change in the order of value-table lookups (in gate
+# application, sampling, elimination or fidelity) changes these bytes.
+PINNED_SWEEPS = {
+    "threshold": (
+        ("--builtin", "random", "10", "30", "3", "--scheme", "threshold",
+         "--traversals", "500", "--seed", "7", "--grid", "0,1,2,5,9"),
+        [
+            "random_10_30_3,threshold,0,202,188,0.9306930693069307,0.9592867298028849",
+            "random_10_30_3,threshold,1,202,172,0.8514851485148515,0.904088685920716",
+            "random_10_30_3,threshold,2,202,151,0.7475247524752475,0.8343890815193975",
+            "random_10_30_3,threshold,5,202,107,0.5297029702970297,0.6922168683031309",
+            "random_10_30_3,threshold,9,202,71,0.35148514851485146,0.505552176143028",
+        ],
+    ),
+    "per-level": (
+        ("--builtin", "random", "10", "30", "7", "--scheme", "per-level",
+         "--grid", "0.99,0.9,0.5"),
+        [
+            "random_10_30_7,per-level,0.99,79,79,1.0,1.0",
+            "random_10_30_7,per-level,0.9,79,77,0.9746835443037974,0.904902318763601",
+            "random_10_30_7,per-level,0.5,79,24,0.3037974683544304,0.11834729861081525",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+def test_sweep_rows_pinned(capsys, name):
+    args, rows = PINNED_SWEEPS[name]
+    code, out, err = run_cli(capsys, "sweep", *args)
+    assert code == 0, err
+    assert out.splitlines() == [CSV_HEADER, *rows]
+
+
 def test_csv_byte_stable_across_processes(tmp_path):
     import subprocess
     import sys
