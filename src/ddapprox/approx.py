@@ -4,6 +4,11 @@ All four schemes pick a set of doomed nodes, replace every edge into them
 with the zero-stub, re-reduce, and rescale back to unit norm. Because such
 a step only zeroes amplitudes and rescales the rest, the fidelity against
 the original state equals the kept probability mass.
+
+Re-reducing rebuilds only the doomed nodes' ancestors and the nodes that
+are not settled (not fixed points of `make_node`, see `LevelView`); every
+other subdiagram is kept as it is, which gives the same nodes and tables,
+bit for bit, as rebuilding every node.
 """
 
 from __future__ import annotations
@@ -11,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union, get_args
 
+import numpy as np
+
 from .analysis import contributions, nodes_by_level, sample_paths
-from .dd import Node, StateDD, rebuild
+from .dd import Edge, Node, StateDD, rebuild
 from .errors import ZeroStateError
 from .fidelity import fidelity as state_fidelity
 
@@ -174,11 +181,29 @@ def eliminate(dd: StateDD, doomed: Iterable[Node]) -> StateDD:
 
     The rebuilt diagram is re-reduced (nodes whose successors collapsed are
     merged or dropped) and rescaled to unit norm; `dd` itself is untouched.
-    Raises ZeroStateError when no probability mass remains.
+    Only the doomed nodes' ancestors and the nodes that are not settled (see
+    `LevelView`) are rebuilt through `make_node`; every other node would come
+    back as itself with weight one and no table write, so its edge is kept
+    as it is. Doomed nodes not reachable from `dd` are ignored. Raises
+    ZeroStateError when no probability mass remains.
     """
     pkg = dd.package
+    view = dd.view
     doomed = set(doomed)
-    root = rebuild(pkg, dd.root, lambda v: pkg.zero_stub if v in doomed else None, {})
+    touched = np.zeros(len(view.nodes) + 1, dtype=bool)
+    touched[[i for i in map(view.index.get, doomed) if i is not None]] = True
+    for _, start, stop in reversed(view.levels):
+        s = slice(start, stop)
+        touched[s] |= touched[view.succ0[s]] | touched[view.succ1[s]]
+    keep = view.settled & ~touched
+    one = pkg.table.one
+
+    def replace(v: Node):
+        if v in doomed:
+            return pkg.zero_stub
+        return Edge(v, one) if keep[view.index[v]] else None
+
+    root = rebuild(pkg, dd.root, replace, {})
     if root.weight is pkg.table.zero:
         raise ZeroStateError("elimination removed all probability mass")
     return StateDD(dd.n, root, pkg).renormalize()

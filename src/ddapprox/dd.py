@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, is_
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -270,17 +271,29 @@ class LevelView:
     """Read-only arrays over a state's reachable nodes in (level, uid) order.
 
     Node ``i`` is ``nodes[i]``; the terminal is the sentinel index
-    ``len(nodes)``, which zero-stubs point to as well. ``succ0``/``succ1``
-    hold successor indices and ``mag0``/``mag1`` the squared weight
-    magnitudes |w0|^2, |w1|^2. ``levels`` lists ``(level, start, stop)`` for
-    each occupied level, top down, with ``nodes[start:stop]`` on that level.
-    Successors always sit on a deeper level, so passes over the diagram can
-    go one whole level at a time, bottom-up or top-down.
+    ``len(nodes)``, which zero-stubs point to as well, and ``index`` maps
+    each node and the terminal back to its index. ``succ0``/``succ1`` hold successor indices and ``mag0``/
+    ``mag1`` the squared weight magnitudes |w0|^2, |w1|^2. ``levels`` lists
+    ``(level, start, stop)`` for each occupied level, top down, with
+    ``nodes[start:stop]`` on that level. Successors always sit on a deeper
+    level, so passes over the diagram can go one whole level at a time,
+    bottom-up or top-down.
+
+    ``settled[i]`` is True when node ``i`` and every node below it are fixed
+    points of ``make_node``: calling it on the node's own successors returns
+    ``Edge(node, table.one)`` and adds nothing to either table. A
+    two-successor node is one when ``w0 is one and |w1|^2 <= 1`` or ``w1 is
+    one and |w0|^2 < 1`` (it is already divided by its larger weight, ties
+    to the 0-successor); a one-successor node when its live weight has
+    ``math.hypot`` exactly 1. Nodes whose weights tie in magnitude only up
+    to rounding fail both tests. The mask is read off the weights alone, so
+    it assumes the nodes are still in the unique table, as they are unless
+    ``collect_garbage`` dropped the state. The sentinel entry is True.
     """
 
-    __slots__ = ("nodes", "succ0", "succ1", "mag0", "mag1", "levels")
+    __slots__ = ("nodes", "index", "succ0", "succ1", "mag0", "mag1", "levels", "settled")
 
-    def __init__(self, nodes: list[Node]):
+    def __init__(self, nodes: list[Node], table: ComplexTable):
         # two stable sorts on int keys: several times faster than tuple keys
         nodes = sorted(nodes, key=attrgetter("uid"))
         nodes.sort(key=attrgetter("level"))
@@ -288,17 +301,29 @@ class LevelView:
         index: dict = dict(zip(nodes, range(m)))
         index[TERMINAL] = m
         self.nodes = nodes
-        self.succ0, self.mag0 = _edge_arrays(nodes, "succ0", index)
-        self.succ1, self.mag1 = _edge_arrays(nodes, "succ1", index)
+        self.index = index
+        self.succ0, self.mag0, one0, zero0 = _edge_arrays(nodes, "succ0", index, table)
+        self.succ1, self.mag1, one1, zero1 = _edge_arrays(nodes, "succ1", index, table)
         lv = [v.level for v in nodes]
         cuts = [i for i in range(1, m) if lv[i] != lv[i - 1]]
         self.levels = tuple(
             (lv[a], a, b) for a, b in zip([0, *cuts], [*cuts, m]) if a < b
         )
+        # make_node's fixed points, then every successor settled, bottom-up
+        settled = np.append((one0 & (self.mag1 <= 1.0)) | (one1 & (self.mag0 < 1.0)), True)
+        for i in np.flatnonzero(zero0 | zero1).tolist():
+            w = (nodes[i].succ1 if zero0[i] else nodes[i].succ0).weight
+            settled[i] = math.hypot(w.re, w.im) == 1.0
+        for _, start, stop in reversed(self.levels):
+            s = slice(start, stop)
+            settled[s] &= settled[self.succ0[s]] & settled[self.succ1[s]]
+        settled.flags.writeable = False
+        self.settled = settled
 
 
-def _edge_arrays(nodes: list[Node], slot: str, index: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only successor indices and |w|^2 of one successor slot."""
+def _edge_arrays(nodes: list[Node], slot: str, index: dict, table: ComplexTable):
+    """Read-only successor indices and |w|^2 of one successor slot, and
+    whether each weight is the table's `one` and its `zero`."""
     m = len(nodes)
     edges = list(map(attrgetter(slot), nodes))
     weights = list(map(attrgetter("weight"), edges))
@@ -307,7 +332,9 @@ def _edge_arrays(nodes: list[Node], slot: str, index: dict) -> tuple[np.ndarray,
     im = np.fromiter(map(attrgetter("im"), weights), np.float64, m)
     mag = re * re + im * im  # the same products and sum as sqr_mag, bit for bit
     succ.flags.writeable = mag.flags.writeable = False
-    return succ, mag
+    is_one = np.fromiter(map(is_, weights, repeat(table.one)), bool, m)
+    is_zero = np.fromiter(map(is_, weights, repeat(table.zero)), bool, m)
+    return succ, mag, is_one, is_zero
 
 
 def _path_mass(edge: Edge, memo: dict[Node, float]) -> float:
@@ -344,7 +371,7 @@ class StateDD:
     @cached_property
     def view(self) -> LevelView:
         """The state's level-array view, built on first use and kept."""
-        return LevelView(reachable_nodes(self))
+        return LevelView(reachable_nodes(self), self.package.table)
 
     def norm(self) -> float:
         return math.sqrt(_path_mass(self.root, {}))

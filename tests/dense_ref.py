@@ -10,12 +10,14 @@ The node-by-node functions at the end walk a diagram one node and one walk
 at a time, in plain Python dicts: the straightforward form of the analysis
 passes that the package computes level-wise over arrays. They compute every
 float with the same operations in the same order, so results compare with
-`==`.
+`==`. `eliminate_ref` is elimination without the settled-subdiagram
+shortcut: it re-reduces every reachable node through `make_node`.
 """
 
 import numpy as np
 
-from ddapprox import TERMINAL
+from ddapprox import TERMINAL, StateDD, ZeroStateError
+from ddapprox.dd import rebuild
 from ddapprox.rng import SplitMix64, derive_seed
 
 _S2 = 1.0 / np.sqrt(2.0)
@@ -211,3 +213,13 @@ def replay_walks(dd, traversals, seed):
             p1 = _mag2(e1.weight) * up[e1.target] / up[node]
             node = (node.succ1 if stream.random() < p1 else node.succ0).target
     return counts
+
+
+def eliminate_ref(dd, doomed):
+    """`eliminate` as a full rebuild: every node is re-reduced."""
+    pkg = dd.package
+    doomed = set(doomed)
+    root = rebuild(pkg, dd.root, lambda v: pkg.zero_stub if v in doomed else None, {})
+    if root.weight is pkg.table.zero:
+        raise ZeroStateError("elimination removed all probability mass")
+    return StateDD(dd.n, root, pkg).renormalize()

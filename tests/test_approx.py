@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddapprox import (
     DDPackage,
+    Edge,
     PerLevelFidelity,
     Sampling,
     TargetFidelity,
@@ -18,9 +19,15 @@ from ddapprox import (
     approx_target_fidelity,
     approx_threshold,
     eliminate,
+    contributions,
     fidelity,
+    nodes_by_level,
+    random_circuit,
+    reachable_nodes,
     sample_paths,
+    simulate,
 )
+from ddapprox.approx import _budget_prefix
 from conftest import DEMO_VECTOR, DEMO_APPROX_VECTOR, demo_nodes
 
 import dense_ref
@@ -89,6 +96,118 @@ def test_eliminate_matches_dense_oracle(pkg):
         want = dense_ref.eliminate_dense(vec, mask)
         out = eliminate(dd, doomed)
         assert np.max(np.abs(out.to_vector() - want)) < 1e-9
+
+
+def test_eliminate_ignores_doomed_nodes_it_cannot_reach(pkg):
+    dd = pkg.from_vector(DEMO_VECTOR)
+    mine = set(reachable_nodes(dd))
+    # the same state in another package: equal levels and uids, other nodes
+    twin = DDPackage().from_vector(DEMO_VECTOR)
+    stray = pkg.from_vector(DEMO_VECTOR[::-1])  # same package, not below dd
+    foreign = (set(reachable_nodes(twin)) | set(reachable_nodes(stray))) - mine
+    assert foreign
+    assert eliminate(dd, foreign).root == dd.root
+    q1r = demo_nodes(dd)["q1r"]
+    assert eliminate(dd, foreign | {q1r}).root == eliminate(dd, {q1r}).root
+
+
+def _tie_state(pkg):
+    """The state of random_circuit(4, 12, 2): two of its nodes, #58 and #61,
+    hold successor weights that tie in magnitude up to rounding, so
+    make_node does not give them back unchanged."""
+    return simulate(random_circuit(4, 12, 2), pkg)
+
+
+def _phase_state(pkg, n, seed):
+    """Unit-magnitude amplitudes with random phases, some zeroed: many
+    successor weights tie in magnitude."""
+    rng = np.random.default_rng(seed)
+    vec = np.exp(2j * np.pi * rng.random(1 << n)) * (rng.random(1 << n) < 0.7)
+    vec[0] = 1.0
+    return pkg.from_vector(vec / np.linalg.norm(vec))
+
+
+def _build(kind, n, seed, pkg):
+    if kind == "circuit":
+        return simulate(random_circuit(n, 2 * n + seed % 9, seed), pkg)
+    if kind == "phases":
+        return _phase_state(pkg, n, seed)
+    return pkg.from_vector(dense_ref.random_state(np.random.default_rng(seed), n))
+
+
+def _doomed(dd, mode, pick, budget):
+    """Budget prefix at level pick % n, or the nodes at the set bits of pick."""
+    if mode == "prefix":
+        level = pick % dd.n
+        return _budget_prefix(nodes_by_level(dd).get(level, ()), contributions(dd), budget)
+    return [v for i, v in enumerate(dd.view.nodes) if pick >> i & 1]
+
+
+def _eliminated(elim, dd, doomed):
+    try:
+        out = elim(dd, doomed)
+    except ZeroStateError:
+        return "zero", len(dd.package.table), dd.package.unique_table_size()
+    root = out.root
+    return (
+        getattr(root.target, "uid", None),
+        root.weight.re,
+        root.weight.im,
+        len(dd.package.table),
+        dd.package.unique_table_size(),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["circuit", "phases", "dense"]),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    mode=st.sampled_from(["prefix", "subset"]),
+    pick=st.integers(0, 2**64 - 1),
+    budget=st.sampled_from([0.01, 0.1, 0.3, 0.6]),
+)
+@example(kind="tie", n=4, seed=2, mode="subset", pick=0b1000, budget=0.1)
+@example(kind="tie", n=4, seed=2, mode="prefix", pick=1, budget=0.6)
+def test_eliminate_matches_full_rebuild(kind, n, seed, mode, pick, budget):
+    """Skipping settled subdiagrams leaves the result and both tables exactly
+    as a rebuild of every node leaves them."""
+    got, want = [], []
+    for elim, out in ((eliminate, got), (dense_ref.eliminate_ref, want)):
+        pkg = DDPackage()
+        dd = _tie_state(pkg) if kind == "tie" else _build(kind, n, seed, pkg)
+        doomed = _doomed(dd, mode, pick, budget)
+        out.append([v.uid for v in doomed])
+        out.append(_eliminated(elim, dd, doomed))
+    assert got == want
+
+
+def test_settled_nodes_are_fixed_points_of_make_node():
+    builders = [
+        _tie_state,
+        lambda p: simulate(random_circuit(6, 14, 9), p),
+        lambda p: simulate(random_circuit(9, 24, 5), p),
+        lambda p: _phase_state(p, 5, 3),
+        lambda p: p.from_vector(dense_ref.random_state(np.random.default_rng(5), 5)),
+        lambda p: p.zero_state(4),
+    ]
+    for build in builders:
+        view = build(DDPackage()).view
+        twin = DDPackage()
+        nodes = build(twin).view.nodes  # same order, uids and weights
+        assert view.settled.any()
+        for v, settled in zip(nodes, view.settled.tolist()):
+            if settled:
+                sizes = (len(twin.table), twin.unique_table_size())
+                assert twin.make_node(v.level, v.succ0, v.succ1) == Edge(v, twin.table.one)
+                assert (len(twin.table), twin.unique_table_size()) == sizes
+    pkg = DDPackage()
+    dd = _tie_state(pkg)
+    ties = [v for v in dd.view.nodes if v.uid in (58, 61)]
+    assert len(ties) == 2
+    for v in ties:
+        assert not dd.view.settled[dd.view.index[v]]
+        assert pkg.make_node(v.level, v.succ0, v.succ1) != Edge(v, pkg.table.one)
 
 
 def test_apply_scheme_dispatch(pkg):

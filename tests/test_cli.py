@@ -338,6 +338,17 @@ PINNED_SWEEPS = {
             "random_10_30_7,per-level,0.5,79,24,0.3037974683544304,0.11834729861081525",
         ],
     ),
+    # 28 of this state's 34 nodes are not fixed points of make_node, so
+    # elimination must rebuild them even where no doomed node lies below
+    "target-fidelity": (
+        ("--builtin", "random", "9", "24", "5", "--scheme", "target-fidelity",
+         "--level", "best", "--grid", "0.99,0.9,0.5"),
+        [
+            "random_9_24_5,target-fidelity,0.99,34,34,1.0,1.0",
+            "random_9_24_5,target-fidelity,0.9,34,32,0.9411764705882353,0.9430848588517761",
+            "random_9_24_5,target-fidelity,0.5,34,21,0.6176470588235294,0.5792545765553347",
+        ],
+    ),
 }
 
 
