@@ -184,8 +184,10 @@ def eliminate(dd: StateDD, doomed: Iterable[Node]) -> StateDD:
     Only the doomed nodes' ancestors and the nodes that are not settled (see
     `LevelView`) are rebuilt through `make_node`; every other node would come
     back as itself with weight one and no table write, so its edge is kept
-    as it is. Doomed nodes not reachable from `dd` are ignored. Raises
-    ZeroStateError when no probability mass remains.
+    as it is. Doomed nodes not reachable from `dd` are ignored. `dd` must
+    not be a state whose nodes `collect_garbage` dropped: kept nodes would
+    then be ones the unique table no longer holds. Raises ZeroStateError
+    when no probability mass remains.
     """
     pkg = dd.package
     view = dd.view

@@ -272,12 +272,12 @@ class LevelView:
 
     Node ``i`` is ``nodes[i]``; the terminal is the sentinel index
     ``len(nodes)``, which zero-stubs point to as well, and ``index`` maps
-    each node and the terminal back to its index. ``succ0``/``succ1`` hold successor indices and ``mag0``/
-    ``mag1`` the squared weight magnitudes |w0|^2, |w1|^2. ``levels`` lists
-    ``(level, start, stop)`` for each occupied level, top down, with
-    ``nodes[start:stop]`` on that level. Successors always sit on a deeper
-    level, so passes over the diagram can go one whole level at a time,
-    bottom-up or top-down.
+    each node and the terminal back to its index. ``succ0``/``succ1`` hold
+    successor indices and ``mag0``/``mag1`` the squared weight magnitudes
+    |w0|^2, |w1|^2. ``levels`` lists ``(level, start, stop)`` for each
+    occupied level, top down, with ``nodes[start:stop]`` on that level.
+    Successors always sit on a deeper level, so passes over the diagram can
+    go one whole level at a time, bottom-up or top-down.
 
     ``settled[i]`` is True when node ``i`` and every node below it are fixed
     points of ``make_node``: calling it on the node's own successors returns

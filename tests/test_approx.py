@@ -18,8 +18,8 @@ from ddapprox import (
     approx_sampling,
     approx_target_fidelity,
     approx_threshold,
-    eliminate,
     contributions,
+    eliminate,
     fidelity,
     nodes_by_level,
     random_circuit,
@@ -195,7 +195,7 @@ def test_settled_nodes_are_fixed_points_of_make_node():
         view = build(DDPackage()).view
         twin = DDPackage()
         nodes = build(twin).view.nodes  # same order, uids and weights
-        assert view.settled.any()
+        assert view.settled[:-1].any()  # the last entry is the terminal's
         for v, settled in zip(nodes, view.settled.tolist()):
             if settled:
                 sizes = (len(twin.table), twin.unique_table_size())

@@ -338,8 +338,9 @@ PINNED_SWEEPS = {
             "random_10_30_7,per-level,0.5,79,24,0.3037974683544304,0.11834729861081525",
         ],
     ),
-    # 28 of this state's 34 nodes are not fixed points of make_node, so
-    # elimination must rebuild them even where no doomed node lies below
+    # 28 of this state's 34 nodes are not settled (they or a node below them
+    # are not fixed points of make_node), so elimination must rebuild them
+    # even where no doomed node lies below
     "target-fidelity": (
         ("--builtin", "random", "9", "24", "5", "--scheme", "target-fidelity",
          "--level", "best", "--grid", "0.99,0.9,0.5"),
