@@ -8,17 +8,21 @@ the original state equals the kept probability mass.
 Re-reducing rebuilds only the doomed nodes' ancestors and the nodes that
 are not settled (not fixed points of `make_node`, see `LevelView`); every
 other subdiagram is kept as it is, which gives the same nodes and tables,
-bit for bit, as rebuilding every node.
+bit for bit, as rebuilding every node. A trial's size and norm are read
+from the state's view too, so a trial costs time in proportion to what it
+rebuilds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Union, get_args
 
 import numpy as np
 
-from .analysis import contributions, nodes_by_level, sample_paths
+from .analysis import _downstream, _upstream, sample_paths
+from .complex_table import sqr_mag
 from .dd import Edge, Node, StateDD, rebuild
 from .errors import ZeroStateError
 from .fidelity import fidelity as state_fidelity
@@ -29,21 +33,28 @@ from .fidelity import fidelity as state_fidelity
 _BUDGET_SLACK = 1e-10
 
 
-def _budget_prefix(nodes, contrib, budget: float) -> list[Node]:
-    """Longest ascending-contribution prefix whose running sum stays <= budget.
+def _budget_prefixes(dd: StateDD, levels: Iterable[int], budget: float) -> list[list[Node]]:
+    """Per level, the longest ascending-contribution prefix of its nodes
+    whose running sum stays <= budget.
 
     The first node that would push the sum past the budget is kept, as is
-    everything after it. Ties in contribution fall back to creation order.
+    everything after it. Ties in contribution fall back to uid order: a
+    level's slice of the view is in uid order and the sort is stable.
+    Contributions are nonnegative, so the running sums (added in order, as
+    `np.cumsum` does) never decrease and one search finds the cut.
     """
-    doomed: list[Node] = []
-    acc = 0.0
+    view = dd.view
+    contrib = _downstream(dd) * _upstream(view)[:-1]
     limit = budget - _BUDGET_SLACK
-    for v in sorted(nodes, key=lambda v: (contrib[v], v.uid)):
-        acc += contrib[v]
-        if acc > limit:
-            break
-        doomed.append(v)
-    return doomed
+    spans = {level: (start, stop) for level, start, stop in view.levels}
+    out = []
+    for level in levels:
+        start, stop = spans.get(level, (0, 0))
+        c = contrib[start:stop]
+        order = np.argsort(c, kind="stable")
+        cut = int(np.searchsorted(np.cumsum(c[order]), limit, side="right"))
+        out.append([view.nodes[start + i] for i in order[:cut].tolist()])
+    return out
 
 
 @dataclass(frozen=True)
@@ -127,11 +138,8 @@ class TargetFidelity:
     def candidates(self, dd: StateDD) -> list[list[Node]]:
         if self.level != "best" and not 0 <= self.level < max(dd.n, 1):
             raise ValueError(f"level must lie in [0, {dd.n}) for this state")
-        contrib = contributions(dd)
-        groups = nodes_by_level(dd)
-        budget = 1.0 - self.fidelity
         levels = range(dd.n) if self.level == "best" else [self.level]
-        return [_budget_prefix(groups.get(lvl, ()), contrib, budget) for lvl in levels]
+        return _budget_prefixes(dd, levels, 1.0 - self.fidelity)
 
 
 @dataclass(frozen=True)
@@ -173,6 +181,7 @@ class ApproxReport:
     approx_size: int
     compression: float  # approx_size / orig_size, smaller is better
     attained_fidelity: float  # against the pre-approximation state
+    kept_mass: float  # path mass the kept trial divided out; 1.0 if unchanged
     eliminated: int  # nodes deliberately doomed
 
 
@@ -184,10 +193,25 @@ def eliminate(dd: StateDD, doomed: Iterable[Node]) -> StateDD:
     Only the doomed nodes' ancestors and the nodes that are not settled (see
     `LevelView`) are rebuilt through `make_node`; every other node would come
     back as itself with weight one and no table write, so its edge is kept
-    as it is. Doomed nodes not reachable from `dd` are ignored. `dd` must
+    as it is. The norm is read from `dd.view` for every node the result
+    shares with `dd`, so the call costs time in proportion to what it
+    rebuilds. Doomed nodes not reachable from `dd` are ignored. `dd` must
     not be a state whose nodes `collect_garbage` dropped: kept nodes would
     then be ones the unique table no longer holds. Raises ZeroStateError
     when no probability mass remains.
+    """
+    return _eliminate(dd, doomed)[0]
+
+
+def _eliminate(dd: StateDD, doomed: Iterable[Node]) -> tuple[StateDD, int, float]:
+    """`eliminate`, plus the result's size and the path mass it divided out.
+
+    Only the result nodes outside `dd.view` are walked. Below them, a view
+    node's mass is its upstream, the same products and sums in the same
+    order as `StateDD.norm` takes, so the rescaled root is the one
+    `renormalize` gives, bit for bit. The view nodes the walk steps onto
+    are spread down the view one level at a time and counted; a node that
+    `make_node` gave back from the view is counted there, once.
     """
     pkg = dd.package
     view = dd.view
@@ -208,7 +232,42 @@ def eliminate(dd: StateDD, doomed: Iterable[Node]) -> StateDD:
     root = rebuild(pkg, dd.root, replace, {})
     if root.weight is pkg.table.zero:
         raise ZeroStateError("elimination removed all probability mass")
-    return StateDD(dd.n, root, pkg).renormalize()
+
+    reached: list[int] = []  # view indices stepped onto; the terminal is one
+    rebuilt: dict[Node, float] = {}  # result nodes outside the view -> mass below
+    total = _mass(root, view.index, _upstream(view).tolist(), reached, rebuilt)
+    if total == 0.0:
+        raise ZeroStateError("cannot normalize a zero state")
+    seen = np.zeros(len(view.nodes) + 1, dtype=bool)
+    seen[reached] = True
+    for _, start, stop in view.levels:
+        s = slice(start, stop)
+        hit = seen[s]
+        seen[view.succ0[s][hit]] = True
+        seen[view.succ1[s][hit]] = True
+    size = len(rebuilt) + int(np.count_nonzero(seen[:-1]))
+    w = pkg.table.div_real(root.weight, math.sqrt(total))
+    return StateDD(dd.n, Edge(root.target, w), pkg), size, total
+
+
+def _mass(e: Edge, index: dict, up: list[float], reached: list[int], rebuilt: dict) -> float:
+    """`_path_mass` of `e`, with `up[index[v]]` standing in for the mass
+    below every node `v` in `index`; the walk appends those indices to
+    `reached` and memoizes every other node in `rebuilt`."""
+    w2 = sqr_mag(e.weight)
+    if w2 == 0.0:
+        return 0.0
+    v = e.target
+    i = index.get(v)
+    if i is not None:
+        reached.append(i)
+        return w2 * up[i]
+    s = rebuilt.get(v)
+    if s is None:
+        s = _mass(v.succ0, index, up, reached, rebuilt)
+        s += _mass(v.succ1, index, up, reached, rebuilt)
+        rebuilt[v] = s
+    return w2 * s
 
 
 def apply_scheme(dd: StateDD, scheme: Scheme):
@@ -217,18 +276,19 @@ def apply_scheme(dd: StateDD, scheme: Scheme):
     A scheme only selects: `scheme.candidates(dd)` lists candidate doomed
     sets in order. Each non-empty one is eliminated in turn and the first
     smallest result is kept (ties go to the earlier candidate); with no
-    non-empty candidate `dd` is returned unchanged.
+    non-empty candidate `dd` is returned unchanged. Each trial's size and
+    kept mass come from the elimination itself, read off `dd.view`, so no
+    trial result is walked whole.
     """
     if not isinstance(scheme, get_args(Scheme)):
         raise TypeError(f"unknown scheme {scheme!r}")
     orig = len(dd.view.nodes)  # the selection reuses the cached view
-    out, size, eliminated = dd, orig, 0
+    out, size, eliminated, kept = dd, orig, 0, 1.0
     for doomed in scheme.candidates(dd):
         if doomed:
-            trial = eliminate(dd, doomed)
-            trial_size = trial.size()
+            trial, trial_size, mass = _eliminate(dd, doomed)
             if not eliminated or trial_size < size:  # the first trial always counts
-                out, size, eliminated = trial, trial_size, len(doomed)
+                out, size, eliminated, kept = trial, trial_size, len(doomed), mass
     return out, ApproxReport(
         scheme=scheme,
         orig_size=orig,
@@ -236,6 +296,7 @@ def apply_scheme(dd: StateDD, scheme: Scheme):
         compression=size / orig if orig else 1.0,
         # identity transformation: skip the noisy self-overlap
         attained_fidelity=1.0 if out.root == dd.root else state_fidelity(dd, out),
+        kept_mass=kept,
         eliminated=eliminated,
     )
 

@@ -10,13 +10,16 @@ The node-by-node functions at the end walk a diagram one node and one walk
 at a time, in plain Python dicts: the straightforward form of the analysis
 passes that the package computes level-wise over arrays. They compute every
 float with the same operations in the same order, so results compare with
-`==`. `eliminate_ref` is elimination without the settled-subdiagram
-shortcut: it re-reduces every reachable node through `make_node`.
+`==`. `budget_prefix_ref` is the target-fidelity selection as a sorted
+running sum. `eliminate_ref` is elimination without the settled-subdiagram
+shortcut: it re-reduces every reachable node through `make_node`, and its
+norm walks the whole result.
 """
 
 import numpy as np
 
 from ddapprox import TERMINAL, StateDD, ZeroStateError
+from ddapprox.approx import _BUDGET_SLACK
 from ddapprox.dd import rebuild
 from ddapprox.rng import SplitMix64, derive_seed
 
@@ -213,6 +216,21 @@ def replay_walks(dd, traversals, seed):
             p1 = _mag2(e1.weight) * up[e1.target] / up[node]
             node = (node.succ1 if stream.random() < p1 else node.succ0).target
     return counts
+
+
+def budget_prefix_ref(nodes, contrib, budget):
+    """Longest ascending-(contribution, uid) prefix of `nodes` whose running
+    sum stays <= budget minus the package's slack; `contrib` maps node to
+    contribution."""
+    doomed = []
+    acc = 0.0
+    limit = budget - _BUDGET_SLACK
+    for v in sorted(nodes, key=lambda v: (contrib[v], v.uid)):
+        acc += contrib[v]
+        if acc > limit:
+            break
+        doomed.append(v)
+    return doomed
 
 
 def eliminate_ref(dd, doomed):

@@ -18,16 +18,16 @@ from ddapprox import (
     approx_sampling,
     approx_target_fidelity,
     approx_threshold,
-    contributions,
     eliminate,
     fidelity,
+    ghz,
     nodes_by_level,
     random_circuit,
     reachable_nodes,
     sample_paths,
     simulate,
 )
-from ddapprox.approx import _budget_prefix
+from ddapprox.approx import _budget_prefixes, _eliminate
 from conftest import DEMO_VECTOR, DEMO_APPROX_VECTOR, demo_nodes
 
 import dense_ref
@@ -127,25 +127,38 @@ def _phase_state(pkg, n, seed):
     return pkg.from_vector(vec / np.linalg.norm(vec))
 
 
+def _overlap_state(pkg):
+    """A 3-qubit state whose left q1 node is (P, Q) and right q1 node is
+    (P, 0): dooming Q (view index 4) makes `make_node` give back the right
+    q1 node, which is already in the original view."""
+    vec = np.array([0.3, 0.3, 0.4, -0.4, 0.5, 0.5, 0.0, 0.0])
+    return pkg.from_vector(vec / np.linalg.norm(vec))
+
+
 def _build(kind, n, seed, pkg):
     if kind == "circuit":
         return simulate(random_circuit(n, 2 * n + seed % 9, seed), pkg)
     if kind == "phases":
         return _phase_state(pkg, n, seed)
+    if kind == "ghz":
+        return simulate(ghz(n), pkg)
+    if kind == "uniform":  # equal amplitudes on a random support
+        support = np.random.default_rng(seed).random(1 << n) < 0.5
+        support[0] = True
+        return pkg.from_vector(support / np.sqrt(support.sum()))
     return pkg.from_vector(dense_ref.random_state(np.random.default_rng(seed), n))
 
 
 def _doomed(dd, mode, pick, budget):
     """Budget prefix at level pick % n, or the nodes at the set bits of pick."""
     if mode == "prefix":
-        level = pick % dd.n
-        return _budget_prefix(nodes_by_level(dd).get(level, ()), contributions(dd), budget)
+        return _budget_prefixes(dd, [pick % dd.n], budget)[0]
     return [v for i, v in enumerate(dd.view.nodes) if pick >> i & 1]
 
 
 def _eliminated(elim, dd, doomed):
     try:
-        out = elim(dd, doomed)
+        out, size = elim(dd, doomed)
     except ZeroStateError:
         return "zero", len(dd.package.table), dd.package.unique_table_size()
     root = out.root
@@ -153,9 +166,20 @@ def _eliminated(elim, dd, doomed):
         getattr(root.target, "uid", None),
         root.weight.re,
         root.weight.im,
+        size,
         len(dd.package.table),
         dd.package.unique_table_size(),
     )
+
+
+def _accounted(dd, doomed):
+    out, size, _ = _eliminate(dd, doomed)
+    return out, size
+
+
+def _full_rebuild(dd, doomed):
+    out = dense_ref.eliminate_ref(dd, doomed)
+    return out, out.size()
 
 
 @settings(max_examples=80, deadline=None)
@@ -169,17 +193,56 @@ def _eliminated(elim, dd, doomed):
 )
 @example(kind="tie", n=4, seed=2, mode="subset", pick=0b1000, budget=0.1)
 @example(kind="tie", n=4, seed=2, mode="prefix", pick=1, budget=0.6)
+@example(kind="overlap", n=3, seed=0, mode="subset", pick=0b10000, budget=0.1)
 def test_eliminate_matches_full_rebuild(kind, n, seed, mode, pick, budget):
     """Skipping settled subdiagrams leaves the result and both tables exactly
-    as a rebuild of every node leaves them."""
+    as a rebuild of every node leaves them, and the size accounted from the
+    view is the size of the full rebuild's result."""
     got, want = [], []
-    for elim, out in ((eliminate, got), (dense_ref.eliminate_ref, want)):
+    for elim, out in ((_accounted, got), (_full_rebuild, want)):
         pkg = DDPackage()
-        dd = _tie_state(pkg) if kind == "tie" else _build(kind, n, seed, pkg)
+        if kind in ("tie", "overlap"):
+            dd = (_tie_state if kind == "tie" else _overlap_state)(pkg)
+        else:
+            dd = _build(kind, n, seed, pkg)
         doomed = _doomed(dd, mode, pick, budget)
         out.append([v.uid for v in doomed])
         out.append(_eliminated(elim, dd, doomed))
     assert got == want
+
+
+def test_overlap_example_returns_a_view_node():
+    pkg = DDPackage()
+    dd = _overlap_state(pkg)
+    q = dd.view.nodes[4]
+    assert q.level == 2 and q.succ1.weight.re < 0  # the (1, -1) node
+    out, size, mass = _eliminate(dd, [q])
+    right = dd.root.target.succ1.target
+    assert out.root.target.succ0.target is right
+    assert size == out.size() == 3
+    assert mass == pytest.approx(0.68, abs=1e-12)  # 1 - 2 * 0.4^2
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["ghz", "phases", "uniform", "circuit", "dense"]),
+    n=st.integers(1, 7),
+    seed=st.integers(0, 2**16),
+    budget=st.sampled_from([0.0, 1e-10, 0.3, 1 - 1e-12]) | st.floats(0.0, 1.0),
+)
+@example(kind="ghz", n=5, seed=0, budget=1 - 1e-12)
+@example(kind="uniform", n=6, seed=1, budget=0.3)
+@example(kind="phases", n=6, seed=4, budget=0.3)
+def test_budget_prefixes_match_sorted_running_sum(kind, n, seed, budget):
+    """The array selection dooms the same nodes, in the same order, as the
+    sorted running sum, at every level; exact ties go to the smaller uid."""
+    dd = _build(kind, n, seed, DDPackage())
+    groups, contrib = nodes_by_level(dd), dense_ref.contributions_ref(dd)
+    want = [
+        dense_ref.budget_prefix_ref(groups.get(lvl, ()), contrib, budget) for lvl in range(n)
+    ]
+    got = _budget_prefixes(dd, range(n), budget)
+    assert [[v.uid for v in p] for p in got] == [[v.uid for v in p] for p in want]
 
 
 def test_settled_nodes_are_fixed_points_of_make_node():
@@ -280,6 +343,20 @@ def test_sampling_fidelity_equals_kept_mass(pkg):
         assert abs(report.attained_fidelity - kept) < 1e-9
 
 
+def test_kept_mass_matches_dense_oracle():
+    rng = np.random.default_rng(89)
+    schemes = (Sampling(16, seed=4), Threshold(64, 1, seed=4), TargetFidelity(0.8),
+               TargetFidelity(0.8, level=3), PerLevelFidelity(0.9))
+    for _ in range(8):
+        vec = dense_ref.random_state(rng, 6)
+        for scheme in schemes:
+            dd = DDPackage().from_vector(vec)
+            out, report = apply_scheme(dd, scheme)
+            assert report.eliminated
+            assert abs(report.kept_mass - dense_ref.kept_mass(vec, out.to_vector())) < 1e-9
+            assert abs(report.kept_mass - report.attained_fidelity) < 1e-9
+
+
 def test_threshold_worked_counts(pkg):
     # at seed 11 the 10-walk counts are {10; 8, 2; 8, 0, 2}; tau = 3 prunes
     # the 2-, 0- and 2-count nodes and leaves the heavy branch
@@ -340,6 +417,7 @@ def test_target_fidelity_one_keeps_everything(pkg):
     out, report = approx_target_fidelity(dd, 1.0)
     assert out.root == dd.root
     assert report.eliminated == 0
+    assert report.kept_mass == 1.0
     assert report.compression == 1.0
 
 
