@@ -17,6 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .complex_table import ComplexValue
 from .dd import DDPackage, Edge, StateDD, TERMINAL, rebuild
 from .errors import CircuitParseError, DDError
 from .rng import SplitMix64
@@ -186,23 +187,18 @@ def simulate(
     return state
 
 
-def _weighted(pkg: DDPackage, edge: Edge, w) -> Edge:
+def _scaled(pkg: DDPackage, edge: Edge, w: ComplexValue | complex) -> Edge:
+    """`edge` with its weight multiplied by `w`: a table value, through
+    `table.mul` and its lookup-free `one` and `zero` short-cuts, or a plain
+    complex matrix entry, by one lookup of the same product."""
     t = pkg.table
-    nw = t.mul(w, edge.weight)
-    if nw is t.zero:
+    ew = edge.weight
+    if not isinstance(w, complex):
+        nw = t.mul(w, ew)
+    elif w == 0 or ew is t.zero:
         return pkg.zero_stub
-    return Edge(edge.target, nw)
-
-
-def _scaled(pkg: DDPackage, edge: Edge, factor: complex) -> Edge:
-    t = pkg.table
-    if factor == 0 or edge.weight is t.zero:
-        return pkg.zero_stub
-    w = edge.weight
-    nw = t.lookup(
-        w.re * factor.real - w.im * factor.imag,
-        w.re * factor.imag + w.im * factor.real,
-    )
+    else:
+        nw = t.lookup(ew.re * w.real - ew.im * w.imag, ew.re * w.imag + ew.im * w.real)
     if nw is t.zero:
         return pkg.zero_stub
     return Edge(edge.target, nw)
@@ -226,8 +222,8 @@ def _add(pkg: DDPackage, ea: Edge, eb: Edge, memo: dict) -> Edge:
         wa, wb = ea.weight, eb.weight
         res = pkg.make_node(
             na.level,
-            _add(pkg, _weighted(pkg, na.succ0, wa), _weighted(pkg, nb.succ0, wb), memo),
-            _add(pkg, _weighted(pkg, na.succ1, wa), _weighted(pkg, nb.succ1, wb), memo),
+            _add(pkg, _scaled(pkg, na.succ0, wa), _scaled(pkg, nb.succ0, wb), memo),
+            _add(pkg, _scaled(pkg, na.succ1, wa), _scaled(pkg, nb.succ1, wb), memo),
         )
         memo[key] = res
     return res

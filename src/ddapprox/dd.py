@@ -352,6 +352,25 @@ def _path_mass(edge: Edge, memo: dict[Node, float]) -> float:
     return w2 * s
 
 
+def _dense(node: Node, n: int, memo: dict[Node, np.ndarray]) -> np.ndarray:
+    """Dense vector of the path products below `node`, memoized per node."""
+    cached = memo.get(node)
+    if cached is not None:
+        return cached
+    half = 1 << (n - node.level - 1)
+    parts = []
+    for e in (node.succ0, node.succ1):
+        if e.weight.re == 0.0 and e.weight.im == 0.0:
+            parts.append(np.zeros(half, dtype=np.complex128))
+        elif e.target is TERMINAL:
+            parts.append(np.array([e.weight.as_complex()]))
+        else:
+            parts.append(e.weight.as_complex() * _dense(e.target, n, memo))
+    out = np.concatenate(parts)
+    memo[node] = out
+    return out
+
+
 @dataclass(frozen=True)
 class StateDD:
     """A pure n-qubit state held as one root edge into a package.
@@ -404,29 +423,10 @@ class StateDD:
                 f"{self.n} qubits exceed the dense-expansion cap "
                 f"({self.package.vector_cap})"
             )
-        memo: dict[Node, np.ndarray] = {}
-
-        def vec(node: Node) -> np.ndarray:
-            cached = memo.get(node)
-            if cached is not None:
-                return cached
-            half = 1 << (self.n - node.level - 1)
-            parts = []
-            for e in (node.succ0, node.succ1):
-                if e.weight.re == 0.0 and e.weight.im == 0.0:
-                    parts.append(np.zeros(half, dtype=np.complex128))
-                elif e.target is TERMINAL:
-                    parts.append(np.array([e.weight.as_complex()]))
-                else:
-                    parts.append(e.weight.as_complex() * vec(e.target))
-            out = np.concatenate(parts)
-            memo[node] = out
-            return out
-
         w = self.root.weight.as_complex()
         if self.root.target is TERMINAL:
             return np.array([w], dtype=np.complex128)
-        return w * vec(self.root.target)
+        return w * _dense(self.root.target, self.n, {})
 
     def renormalize(self) -> "StateDD":
         """Same state with the root weight divided by the current norm."""
