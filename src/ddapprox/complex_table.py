@@ -5,15 +5,18 @@ collapse to a single representative object. Node hashing can then rely on
 plain object identity, and rounding dust accumulated in long weight products
 is absorbed instead of spawning near-duplicate nodes.
 
-A lookup is served in two steps. An exact index maps the coordinates of
-every stored value to that value; a query that repeats them is answered
-there, because the stored value is at distance 0 and no second value can
-ever be stored at the same coordinates. Otherwise the query scans the
-buckets of a grid of ``BUCKET_TOLS * tol``-wide squares that its tolerance
-ball touches: its own bucket, plus a neighbour only in a coordinate that lies
-within ``tol`` of that neighbour's edge. Every stored value within ``tol``
-of the query is in one of those buckets, so the closest-then-oldest winner
-is the same as over the whole table.
+A lookup that is not exactly 0 or 1 is served in two steps:
+
+* An exact index maps the coordinates of every stored value to that value.
+  A query that repeats them is answered there: the stored value is at
+  distance 0, and no second value can ever be stored at the same
+  coordinates, so the closest-then-oldest rule would pick it too.
+* Otherwise the query scans a grid of buckets ``_BUCKET_TOLS * tol`` wide in
+  each coordinate: its own bucket, plus the neighbour in a coordinate only
+  where the query lies within ``tol`` of that neighbour's edge. Every stored
+  value within ``tol`` of the query lies in one of those (at most four)
+  buckets, so the closest-then-oldest winner among them is the winner over
+  the whole table.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ from .errors import NumericDomainError
 #: that matters, large enough to swallow accumulated floating-point rounding.
 DEFAULT_TOL = 1e-10
 
-#: Bucket width in units of the tolerance. A query probes a neighbour bucket
-#: in one coordinate with probability about 2 / BUCKET_TOLS, and the random
-#: 12-qubit, depth-40 simulation holds at most 2 values in any bucket.
-BUCKET_TOLS = 1024
+#: Bucket width in units of the tolerance. A query probes the neighbour
+#: bucket of one coordinate with probability about 2 / _BUCKET_TOLS. At 1024 no
+#: bucket of the `random 12 40 7` simulation's 217,975 values holds two of
+#: them, and two buckets of the 65,537 values of the seeded dense 15-qubit
+#: state of the `sweep-fidelity` benchmark do.
+_BUCKET_TOLS = 1024
 
 
 class ComplexValue:
@@ -61,11 +66,10 @@ class ComplexTable:
     A query (re, im) is claimed by the stored value whose componentwise
     distance max(|dre|, |dim|) is smallest and below ``tol``, the oldest among
     equals; with none, (re, im) is stored as a new value. The exact index
-    answers repeated coordinates; the rest scan the ``BUCKET_TOLS * tol``-wide
-    buckets that the square of half-width ``tol`` around the query overlaps
-    (one bucket for most queries, never more than four). Each bucket holds
-    only its newest value, which links to the older ones through
-    ``ComplexValue.older``.
+    answers repeated coordinates and the buckets the rest (see the module
+    docstring). A bucket holds only its newest value, which links to the
+    older ones through ``ComplexValue.older``, so the table keeps no list
+    per bucket.
 
     Exact 0 and 1 are seeded at construction so structural zeros and unit
     weights stay exact; being first, they always represent their own balls.
@@ -77,7 +81,7 @@ class ComplexTable:
         if not 0.0 < tol < 1e-3:
             raise ValueError(f"tolerance must lie in (0, 1e-3), got {tol}")
         self.tol = tol
-        self._width = BUCKET_TOLS * tol
+        self._width = _BUCKET_TOLS * tol
         self._exact: dict[tuple[float, float], ComplexValue] = {}
         self._buckets: dict[tuple[int, int], ComplexValue] = {}
         self.zero = self._insert(0.0, 0.0, (0, 0))
@@ -99,6 +103,10 @@ class ComplexTable:
         A stored value whose components are both within ``tol`` claims the
         input; with several candidates the closest (then oldest) wins.
         """
+        if re == 0.0 and im == 0.0:
+            return self.zero
+        if re == 1.0 and im == 0.0:
+            return self.one
         v = self._exact.get((re, im))
         if v is not None:
             return v

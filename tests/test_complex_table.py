@@ -1,10 +1,13 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ddapprox import ComplexTable, NumericDomainError, sqr_mag
+from ddapprox import ComplexTable, DDPackage, NumericDomainError, random_circuit, simulate, sqr_mag
+from ddapprox.complex_table import _BUCKET_TOLS
+
+import dense_ref
 
 finite = st.floats(
     min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False
@@ -102,3 +105,74 @@ def test_all_stored_components_finite(re, im):
     v = t.lookup(re, im)
     w = t.mul(v, t.lookup(v.re, -v.im))
     assert math.isfinite(w.re) and math.isfinite(w.im)
+
+
+def test_later_closer_insert_wins_a_repeated_near_query():
+    # A near hit is not an exact hit: a value stored later can come closer.
+    t = ComplexTable()
+    p, tol = 0.3, t.tol
+    v = t.lookup(p + 0.8 * tol, 0.1)
+    assert t.lookup(p, 0.1) is v
+    u = t.lookup(p - 0.5 * tol, 0.1)
+    assert u is not v
+    assert t.lookup(p, 0.1) is u
+
+
+_TOLS = (1e-10, 1e-6, 5e-4)
+
+
+@st.composite
+def _lookup_runs(draw):
+    """(tol, queries): clusters of queries around a few centres, offset in
+    quarters of tol up to 3 tol, with centres on bucket edges, at +-0.0 and
+    anywhere in [-2, 2]."""
+    tol = draw(st.sampled_from(_TOLS))
+    width = _BUCKET_TOLS * tol
+    coordinate = st.one_of(
+        st.integers(-3, 3).map(lambda m: m * width),
+        st.integers(int(-2 / width), int(2 / width)).map(lambda m: m * width),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+        st.floats(-2.0, 2.0),
+    )
+    centres = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=4))
+    quarters = st.integers(-12, 12)
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(centres) - 1), quarters, quarters),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    queries = []
+    for i, a, b in picks:
+        re, im = centres[i]
+        queries.append((re + a * tol / 4 if a else re, im + b * tol / 4 if b else im))
+    return tol, queries
+
+
+def _bits(v):
+    return v.seq, v.re.hex(), v.im.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=_lookup_runs())
+@example(run=(1e-10, [(0.3 + 0.8e-10, 0.1), (0.3, 0.1), (0.3 - 0.5e-10, 0.1), (0.3, 0.1)]))
+def test_lookup_matches_nine_bucket_scan(run):
+    tol, queries = run
+    table, ref = ComplexTable(tol), dense_ref.ComplexTable(tol)
+    for re, im in queries:
+        assert _bits(table.lookup(re, im)) == _bits(ref.lookup(re, im)), (re, im)
+    assert len(table) == len(ref)
+
+
+def test_simulation_table_contents_pinned():
+    pkg = DDPackage()
+    state = simulate(random_circuit(10, 30, 3), pkg)
+    assert len(pkg.table) == 11069
+    assert pkg.unique_table_size() == 4327
+    assert state.size() == 202
+    assert state.root.target.uid == 4326
+    assert (state.root.weight.re, state.root.weight.im) == (
+        -0.15051513110281287,
+        0.04194088045152552,
+    )

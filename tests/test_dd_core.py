@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -220,6 +221,19 @@ def test_to_vector_cap():
     with pytest.raises(SizeLimitError):
         dd.to_vector()
     assert pkg.zero_state(3).to_vector()[0] == 1.0
+
+
+def test_to_vector_leaves_no_garbage_cycle(pkg):
+    # Its per-node memo of dense arrays must be freed on return, not held by
+    # a reference cycle until the cycle collector runs.
+    dd = pkg.from_vector(DEMO_VECTOR)
+    gc.collect()
+    gc.disable()
+    try:
+        dd.to_vector()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_zero_qubit_state(pkg):
