@@ -107,17 +107,6 @@ def test_all_stored_components_finite(re, im):
     assert math.isfinite(w.re) and math.isfinite(w.im)
 
 
-def test_later_closer_insert_wins_a_repeated_near_query():
-    # A near hit is not an exact hit: a value stored later can come closer.
-    t = ComplexTable()
-    p, tol = 0.3, t.tol
-    v = t.lookup(p + 0.8 * tol, 0.1)
-    assert t.lookup(p, 0.1) is v
-    u = t.lookup(p - 0.5 * tol, 0.1)
-    assert u is not v
-    assert t.lookup(p, 0.1) is u
-
-
 _TOLS = (1e-10, 1e-6, 5e-4)
 
 
@@ -156,6 +145,8 @@ def _bits(v):
 
 @settings(max_examples=300, deadline=None)
 @given(run=_lookup_runs())
+# A near hit is not an exact hit: the third query stores a value closer to
+# (0.3, 0.1) than the first one, so it must answer the fourth.
 @example(run=(1e-10, [(0.3 + 0.8e-10, 0.1), (0.3, 0.1), (0.3 - 0.5e-10, 0.1), (0.3, 0.1)]))
 def test_lookup_matches_nine_bucket_scan(run):
     tol, queries = run
