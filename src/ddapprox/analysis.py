@@ -64,6 +64,11 @@ def _downstream(dd: StateDD) -> np.ndarray:
     return down
 
 
+def _contributions(dd: StateDD) -> np.ndarray:
+    """Contribution per node index: downstream * upstream."""
+    return _downstream(dd) * _upstream(dd.view)[:-1]
+
+
 def upstream(dd: StateDD) -> dict:
     """Upstream of every reachable node, plus the terminal (mapped to 1.0)."""
     view = dd.view
@@ -80,9 +85,7 @@ def downstream(dd: StateDD) -> dict[Node, float]:
 
 def contributions(dd: StateDD) -> dict[Node, float]:
     """downstream * upstream per node; each level sums to 1 on unit norm."""
-    view = dd.view
-    contrib = _downstream(dd) * _upstream(view)[:-1]
-    return dict(zip(view.nodes, contrib.tolist()))
+    return dict(zip(dd.view.nodes, _contributions(dd).tolist()))
 
 
 def nodes_by_level(dd: StateDD) -> dict[int, list[Node]]:

@@ -5,25 +5,23 @@ with the zero-stub, re-reduce, and rescale back to unit norm. Because such
 a step only zeroes amplitudes and rescales the rest, the fidelity against
 the original state equals the kept probability mass.
 
-Re-reducing rebuilds only the doomed nodes' ancestors and the nodes that
-are not settled (not fixed points of `make_node`, see `LevelView`); every
-other subdiagram is kept as it is, which gives the same nodes and tables,
-bit for bit, as rebuilding every node. A trial's size and norm are read
-from the state's view too, so a trial costs time in proportion to what it
+Re-reducing keeps a node as it is when neither it nor any node below it is
+doomed and all of them are fixed points of `make_node` (`LevelView.fixed`);
+every other node is rebuilt, which gives the same nodes and tables, bit
+for bit, as rebuilding every node. A trial's size and norm are read from
+the state's view too, so a trial costs time in proportion to what it
 rebuilds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Union, get_args
 
 import numpy as np
 
-from .analysis import _downstream, _upstream, sample_paths
-from .complex_table import sqr_mag
-from .dd import Edge, Node, StateDD, rebuild
+from .analysis import _contributions, _upstream, sample_paths
+from .dd import Edge, Node, StateDD, _mass, _rescaled, rebuild
 from .errors import ZeroStateError
 from .fidelity import fidelity as state_fidelity
 
@@ -44,7 +42,7 @@ def _budget_prefixes(dd: StateDD, levels: Iterable[int], budget: float) -> list[
     `np.cumsum` does) never decrease and one search finds the cut.
     """
     view = dd.view
-    contrib = _downstream(dd) * _upstream(view)[:-1]
+    contrib = _contributions(dd)
     limit = budget - _BUDGET_SLACK
     spans = {level: (start, stop) for level, start, stop in view.levels}
     out = []
@@ -190,15 +188,15 @@ def eliminate(dd: StateDD, doomed: Iterable[Node]) -> StateDD:
 
     The rebuilt diagram is re-reduced (nodes whose successors collapsed are
     merged or dropped) and rescaled to unit norm; `dd` itself is untouched.
-    Only the doomed nodes' ancestors and the nodes that are not settled (see
-    `LevelView`) are rebuilt through `make_node`; every other node would come
-    back as itself with weight one and no table write, so its edge is kept
-    as it is. The norm is read from `dd.view` for every node the result
-    shares with `dd`, so the call costs time in proportion to what it
-    rebuilds. Doomed nodes not reachable from `dd` are ignored. `dd` must
-    not be a state whose nodes `collect_garbage` dropped: kept nodes would
-    then be ones the unique table no longer holds. Raises ZeroStateError
-    when no probability mass remains.
+    A node is rebuilt through `make_node` when it or a node below it is
+    doomed or not a fixed point of `make_node` (see `LevelView.fixed`); every
+    other node would come back as itself with weight one and no table write,
+    so its edge is kept as it is. The norm is read from `dd.view` for every
+    node the result shares with `dd`, so the call costs time in proportion
+    to what it rebuilds. Doomed nodes not reachable from `dd` are ignored.
+    `dd` must not be a state whose nodes `collect_garbage` dropped: kept
+    nodes would then be ones the unique table no longer holds. Raises
+    ZeroStateError when no probability mass remains.
     """
     return _eliminate(dd, doomed)[0]
 
@@ -206,9 +204,11 @@ def eliminate(dd: StateDD, doomed: Iterable[Node]) -> StateDD:
 def _eliminate(dd: StateDD, doomed: Iterable[Node]) -> tuple[StateDD, int, float]:
     """`eliminate`, plus the result's size and the path mass it divided out.
 
-    Only the result nodes outside `dd.view` are walked. Below them, a view
-    node's mass is its upstream, the same products and sums in the same
-    order as `StateDD.norm` takes, so the rescaled root is the one
+    One bottom-up pass over the view marks the nodes to keep:
+    ``keep = fixed & ~doomed & keep[succ0] & keep[succ1]``. The mass walk
+    `dd._mass` visits only the result nodes outside `dd.view` and reads a
+    view node's mass from its upstream, the same products and sums in the
+    same order as `StateDD.norm` takes, so the rescaled root is the one
     `renormalize` gives, bit for bit. The view nodes the walk steps onto
     are spread down the view one level at a time and counted; a node that
     `make_node` gave back from the view is counted there, once.
@@ -216,12 +216,11 @@ def _eliminate(dd: StateDD, doomed: Iterable[Node]) -> tuple[StateDD, int, float
     pkg = dd.package
     view = dd.view
     doomed = set(doomed)
-    touched = np.zeros(len(view.nodes) + 1, dtype=bool)
-    touched[[i for i in map(view.index.get, doomed) if i is not None]] = True
+    keep = view.fixed.copy()
+    keep[[i for i in map(view.index.get, doomed) if i is not None]] = False
     for _, start, stop in reversed(view.levels):
         s = slice(start, stop)
-        touched[s] |= touched[view.succ0[s]] | touched[view.succ1[s]]
-    keep = view.settled & ~touched
+        keep[s] &= keep[view.succ0[s]] & keep[view.succ1[s]]
     one = pkg.table.one
 
     def replace(v: Node):
@@ -236,8 +235,7 @@ def _eliminate(dd: StateDD, doomed: Iterable[Node]) -> tuple[StateDD, int, float
     reached: list[int] = []  # view indices stepped onto; the terminal is one
     rebuilt: dict[Node, float] = {}  # result nodes outside the view -> mass below
     total = _mass(root, view.index, _upstream(view).tolist(), reached, rebuilt)
-    if total == 0.0:
-        raise ZeroStateError("cannot normalize a zero state")
+    out = _rescaled(dd.n, root, pkg, total)
     seen = np.zeros(len(view.nodes) + 1, dtype=bool)
     seen[reached] = True
     for _, start, stop in view.levels:
@@ -245,29 +243,7 @@ def _eliminate(dd: StateDD, doomed: Iterable[Node]) -> tuple[StateDD, int, float
         hit = seen[s]
         seen[view.succ0[s][hit]] = True
         seen[view.succ1[s][hit]] = True
-    size = len(rebuilt) + int(np.count_nonzero(seen[:-1]))
-    w = pkg.table.div_real(root.weight, math.sqrt(total))
-    return StateDD(dd.n, Edge(root.target, w), pkg), size, total
-
-
-def _mass(e: Edge, index: dict, up: list[float], reached: list[int], rebuilt: dict) -> float:
-    """`_path_mass` of `e`, with `up[index[v]]` standing in for the mass
-    below every node `v` in `index`; the walk appends those indices to
-    `reached` and memoizes every other node in `rebuilt`."""
-    w2 = sqr_mag(e.weight)
-    if w2 == 0.0:
-        return 0.0
-    v = e.target
-    i = index.get(v)
-    if i is not None:
-        reached.append(i)
-        return w2 * up[i]
-    s = rebuilt.get(v)
-    if s is None:
-        s = _mass(v.succ0, index, up, reached, rebuilt)
-        s += _mass(v.succ1, index, up, reached, rebuilt)
-        rebuilt[v] = s
-    return w2 * s
+    return out, len(rebuilt) + int(np.count_nonzero(seen[:-1])), total
 
 
 def apply_scheme(dd: StateDD, scheme: Scheme):

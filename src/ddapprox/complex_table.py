@@ -102,6 +102,8 @@ class ComplexTable:
 
         A stored value whose components are both within ``tol`` claims the
         input; with several candidates the closest (then oldest) wins.
+        Raises NumericDomainError for a non-finite coordinate, or one too
+        large for a bucket index (about 1e301 at the default tolerance).
         """
         if re == 0.0 and im == 0.0:
             return self.zero
@@ -115,8 +117,11 @@ class ComplexTable:
         tol, w = self.tol, self._width
         # A stored value within tol of re has re - tol <= v.re <= re + tol,
         # rounding keeps that order, so its bucket index lies in [i0, i1].
-        i0, i1 = floor((re - tol) / w), floor((re + tol) / w)
-        j0, j1 = floor((im - tol) / w), floor((im + tol) / w)
+        try:
+            i0, i1 = floor((re - tol) / w), floor((re + tol) / w)
+            j0, j1 = floor((im - tol) / w), floor((im + tol) / w)
+        except OverflowError:  # finite, but no int bucket index fits it
+            raise NumericDomainError(f"amplitude ({re}, {im}) out of range") from None
         home = (i0, j0)
         if i1 == i0 and j1 == j0:
             keys = (home,)

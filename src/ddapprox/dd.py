@@ -77,16 +77,15 @@ class Edge(NamedTuple):
     weight: ComplexValue
 
 
-#: Largest qubit count `to_vector` will expand by default (2**20 amplitudes).
-DEFAULT_VECTOR_CAP = 20
+#: Largest qubit count `to_vector` will expand (2**20 amplitudes).
+VECTOR_CAP = 20
 
 
 class DDPackage:
     """Owner of the unique table, the value table, and all node identities."""
 
-    def __init__(self, tol: float = DEFAULT_TOL, vector_cap: int = DEFAULT_VECTOR_CAP):
-        self.table = ComplexTable(tol)
-        self.vector_cap = vector_cap
+    def __init__(self):
+        self.table = ComplexTable(DEFAULT_TOL)
         self._unique: dict[tuple, Node] = {}
         self._next_uid = 0
         self.zero_stub = Edge(TERMINAL, self.table.zero)
@@ -279,19 +278,19 @@ class LevelView:
     Successors always sit on a deeper level, so passes over the diagram can
     go one whole level at a time, bottom-up or top-down.
 
-    ``settled[i]`` is True when node ``i`` and every node below it are fixed
-    points of ``make_node``: calling it on the node's own successors returns
-    ``Edge(node, table.one)`` and adds nothing to either table. A
-    two-successor node is one when ``w0 is one and |w1|^2 <= 1`` or ``w1 is
-    one and |w0|^2 < 1`` (it is already divided by its larger weight, ties
-    to the 0-successor); a one-successor node when its live weight has
-    ``math.hypot`` exactly 1. Nodes whose weights tie in magnitude only up
-    to rounding fail both tests. The mask is read off the weights alone, so
-    it assumes the nodes are still in the unique table, as they are unless
-    ``collect_garbage`` dropped the state. The sentinel entry is True.
+    ``fixed[i]`` is True when node ``i`` is a fixed point of ``make_node``:
+    calling it on the node's own successors returns ``Edge(node, table.one)``
+    and adds nothing to either table. A two-successor node is one when ``w0
+    is one and |w1|^2 <= 1`` or ``w1 is one and |w0|^2 < 1`` (it is already
+    divided by its larger weight, ties to the 0-successor); a one-successor
+    node when its live weight has ``math.hypot`` exactly 1. Nodes whose
+    weights tie in magnitude only up to rounding fail both tests. The mask
+    is read off the node's own weights alone, so it assumes the nodes are
+    still in the unique table, as they are unless ``collect_garbage``
+    dropped the state. The sentinel entry is True.
     """
 
-    __slots__ = ("nodes", "index", "succ0", "succ1", "mag0", "mag1", "levels", "settled")
+    __slots__ = ("nodes", "index", "succ0", "succ1", "mag0", "mag1", "levels", "fixed")
 
     def __init__(self, nodes: list[Node], table: ComplexTable):
         # two stable sorts on int keys: several times faster than tuple keys
@@ -309,16 +308,12 @@ class LevelView:
         self.levels = tuple(
             (lv[a], a, b) for a, b in zip([0, *cuts], [*cuts, m]) if a < b
         )
-        # make_node's fixed points, then every successor settled, bottom-up
-        settled = np.append((one0 & (self.mag1 <= 1.0)) | (one1 & (self.mag0 < 1.0)), True)
+        fixed = np.append((one0 & (self.mag1 <= 1.0)) | (one1 & (self.mag0 < 1.0)), True)
         for i in np.flatnonzero(zero0 | zero1).tolist():
             w = (nodes[i].succ1 if zero0[i] else nodes[i].succ0).weight
-            settled[i] = math.hypot(w.re, w.im) == 1.0
-        for _, start, stop in reversed(self.levels):
-            s = slice(start, stop)
-            settled[s] &= settled[self.succ0[s]] & settled[self.succ1[s]]
-        settled.flags.writeable = False
-        self.settled = settled
+            fixed[i] = math.hypot(w.re, w.im) == 1.0
+        fixed.flags.writeable = False
+        self.fixed = fixed
 
 
 def _edge_arrays(nodes: list[Node], slot: str, index: dict, table: ComplexTable):
@@ -337,19 +332,37 @@ def _edge_arrays(nodes: list[Node], slot: str, index: dict, table: ComplexTable)
     return succ, mag, is_one, is_zero
 
 
-def _path_mass(edge: Edge, memo: dict[Node, float]) -> float:
-    """Sum over all paths below `edge` of the squared weight products."""
-    w2 = sqr_mag(edge.weight)
+def _mass(e: Edge, index: dict, up: Sequence[float], reached: list[int], memo: dict) -> float:
+    """Sum over all paths below `e` of the squared weight products.
+
+    `up[index[v]]` stands in for the mass below each node `v` in `index`,
+    which must hold the terminal; the walk appends those indices to
+    `reached` and memoizes every other node in `memo`. `StateDD.norm`
+    knows only the terminal. `approx._eliminate` passes a view's upstream,
+    which sums the same products in the same order.
+    """
+    w2 = sqr_mag(e.weight)
     if w2 == 0.0:
         return 0.0
-    t = edge.target
-    if t is TERMINAL:
-        return w2
-    s = memo.get(t)
+    v = e.target
+    i = index.get(v)
+    if i is not None:
+        reached.append(i)
+        return w2 * up[i]
+    s = memo.get(v)
     if s is None:
-        s = _path_mass(t.succ0, memo) + _path_mass(t.succ1, memo)
-        memo[t] = s
+        s = _mass(v.succ0, index, up, reached, memo)
+        s += _mass(v.succ1, index, up, reached, memo)
+        memo[v] = s
     return w2 * s
+
+
+def _rescaled(n: int, root: Edge, pkg: DDPackage, mass: float) -> "StateDD":
+    """The state with `root`'s weight divided by sqrt(`mass`)."""
+    if mass == 0.0:
+        raise ZeroStateError("cannot normalize a zero state")
+    w = pkg.table.div_real(root.weight, math.sqrt(mass))
+    return StateDD(n, Edge(root.target, w), pkg)
 
 
 def _dense(node: Node, n: int, memo: dict[Node, np.ndarray]) -> np.ndarray:
@@ -393,7 +406,7 @@ class StateDD:
         return LevelView(reachable_nodes(self), self.package.table)
 
     def norm(self) -> float:
-        return math.sqrt(_path_mass(self.root, {}))
+        return math.sqrt(_mass(self.root, {TERMINAL: 0}, (1.0,), [], {}))
 
     def amplitude(self, basis: str) -> ComplexValue:
         """Product of edge weights along the path selected by `basis`.
@@ -418,10 +431,9 @@ class StateDD:
 
     def to_vector(self) -> np.ndarray:
         """Dense vector of all 2**n path products."""
-        if self.n > self.package.vector_cap:
+        if self.n > VECTOR_CAP:
             raise SizeLimitError(
-                f"{self.n} qubits exceed the dense-expansion cap "
-                f"({self.package.vector_cap})"
+                f"{self.n} qubits exceed the dense-expansion cap ({VECTOR_CAP})"
             )
         w = self.root.weight.as_complex()
         if self.root.target is TERMINAL:
@@ -430,11 +442,8 @@ class StateDD:
 
     def renormalize(self) -> "StateDD":
         """Same state with the root weight divided by the current norm."""
-        nrm = self.norm()
-        if nrm == 0.0:
-            raise ZeroStateError("cannot normalize a zero state")
-        w = self.package.table.div_real(self.root.weight, nrm)
-        return StateDD(self.n, Edge(self.root.target, w), self.package)
+        mass = _mass(self.root, {TERMINAL: 0}, (1.0,), [], {})
+        return _rescaled(self.n, self.root, self.package, mass)
 
     def to_dot(self) -> str:
         """Graphviz rendering: circles per node, '0' leaves for zero-stubs."""

@@ -6,7 +6,7 @@ class DDError(Exception):
 
 
 class NumericDomainError(DDError):
-    """A non-finite number was handed to the value table."""
+    """A non-finite or out-of-range number was handed to the value table."""
 
 
 class ZeroStateError(DDError):

@@ -11,9 +11,9 @@ at a time, in plain Python dicts: the straightforward form of the analysis
 passes that the package computes level-wise over arrays. They compute every
 float with the same operations in the same order, so results compare with
 `==`. `budget_prefix_ref` is the target-fidelity selection as a sorted
-running sum. `eliminate_ref` is elimination without the settled-subdiagram
+running sum. `eliminate_ref` is elimination without the kept-subdiagram
 shortcut: it re-reduces every reachable node through `make_node`, and its
-norm walks the whole result.
+norm walks the whole result with `upstream_ref`, not the package's mass walk.
 
 `ComplexTable` at the end is the value table as a scan of the nine
 ``tol``-wide buckets around each query, with one list per bucket: the
@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from ddapprox import TERMINAL, ComplexValue, NumericDomainError, StateDD, ZeroStateError
+from ddapprox import TERMINAL, ComplexValue, Edge, NumericDomainError, StateDD, ZeroStateError
 from ddapprox.approx import _BUDGET_SLACK
 from ddapprox.complex_table import DEFAULT_TOL
 from ddapprox.dd import rebuild
@@ -242,13 +242,18 @@ def budget_prefix_ref(nodes, contrib, budget):
 
 
 def eliminate_ref(dd, doomed):
-    """`eliminate` as a full rebuild: every node is re-reduced."""
+    """`eliminate` as a full rebuild: every node is re-reduced, and the mass
+    divided out comes from `upstream_ref` over the whole result."""
     pkg = dd.package
     doomed = set(doomed)
     root = rebuild(pkg, dd.root, lambda v: pkg.zero_stub if v in doomed else None, {})
     if root.weight is pkg.table.zero:
         raise ZeroStateError("elimination removed all probability mass")
-    return StateDD(dd.n, root, pkg).renormalize()
+    mass = _mag2(root.weight) * upstream_ref(StateDD(dd.n, root, pkg))[root.target]
+    if mass == 0.0:
+        raise ZeroStateError("cannot normalize a zero state")
+    w = pkg.table.div_real(root.weight, math.sqrt(mass))
+    return StateDD(dd.n, Edge(root.target, w), pkg)
 
 
 # -- nine-bucket value table reference ---------------------------------------

@@ -195,9 +195,9 @@ def _full_rebuild(dd, doomed):
 @example(kind="tie", n=4, seed=2, mode="prefix", pick=1, budget=0.6)
 @example(kind="overlap", n=3, seed=0, mode="subset", pick=0b10000, budget=0.1)
 def test_eliminate_matches_full_rebuild(kind, n, seed, mode, pick, budget):
-    """Skipping settled subdiagrams leaves the result and both tables exactly
-    as a rebuild of every node leaves them, and the size accounted from the
-    view is the size of the full rebuild's result."""
+    """Keeping untouched fixed-point subdiagrams leaves the result and both
+    tables exactly as a rebuild of every node leaves them, and the size
+    accounted from the view is the size of the full rebuild's result."""
     got, want = [], []
     for elim, out in ((_accounted, got), (_full_rebuild, want)):
         pkg = DDPackage()
@@ -245,7 +245,7 @@ def test_budget_prefixes_match_sorted_running_sum(kind, n, seed, budget):
     assert [[v.uid for v in p] for p in got] == [[v.uid for v in p] for p in want]
 
 
-def test_settled_nodes_are_fixed_points_of_make_node():
+def test_fixed_nodes_are_fixed_points_of_make_node():
     builders = [
         _tie_state,
         lambda p: simulate(random_circuit(6, 14, 9), p),
@@ -258,9 +258,9 @@ def test_settled_nodes_are_fixed_points_of_make_node():
         view = build(DDPackage()).view
         twin = DDPackage()
         nodes = build(twin).view.nodes  # same order, uids and weights
-        assert view.settled[:-1].any()  # the last entry is the terminal's
-        for v, settled in zip(nodes, view.settled.tolist()):
-            if settled:
+        assert view.fixed[:-1].any()  # the last entry is the terminal's
+        for v, fixed in zip(nodes, view.fixed.tolist()):
+            if fixed:
                 sizes = (len(twin.table), twin.unique_table_size())
                 assert twin.make_node(v.level, v.succ0, v.succ1) == Edge(v, twin.table.one)
                 assert (len(twin.table), twin.unique_table_size()) == sizes
@@ -269,7 +269,7 @@ def test_settled_nodes_are_fixed_points_of_make_node():
     ties = [v for v in dd.view.nodes if v.uid in (58, 61)]
     assert len(ties) == 2
     for v in ties:
-        assert not dd.view.settled[dd.view.index[v]]
+        assert not dd.view.fixed[dd.view.index[v]]
         assert pkg.make_node(v.level, v.succ0, v.succ1) != Edge(v, pkg.table.one)
 
 

@@ -318,6 +318,15 @@ def test_sweep_csv_byte_stable(capsys, tmp_path):
 # tolerance ball, so a change in the order of value-table lookups (in gate
 # application, sampling, elimination or fidelity) changes these bytes.
 PINNED_SWEEPS = {
+    "sampling": (
+        ("--builtin", "random", "10", "30", "3", "--scheme", "sampling",
+         "--grid", "10,100,1000", "--seed", "3"),
+        [
+            "random_10_30_3,sampling,10,202,58,0.2871287128712871,0.3149520127128645",
+            "random_10_30_3,sampling,100,202,141,0.698019801980198,0.7644357142648761",
+            "random_10_30_3,sampling,1000,202,202,1.0,1.0",
+        ],
+    ),
     "threshold": (
         ("--builtin", "random", "10", "30", "3", "--scheme", "threshold",
          "--traversals", "500", "--seed", "7", "--grid", "0,1,2,5,9"),
@@ -338,9 +347,9 @@ PINNED_SWEEPS = {
             "random_10_30_7,per-level,0.5,79,24,0.3037974683544304,0.11834729861081525",
         ],
     ),
-    # 28 of this state's 34 nodes are not settled (they or a node below them
-    # are not fixed points of make_node), so elimination must rebuild them
-    # even where no doomed node lies below
+    # 28 of this state's 34 nodes are not kept as they are (they or a node
+    # below them are not fixed points of make_node), so elimination must
+    # rebuild them even where no doomed node lies below
     "target-fidelity": (
         ("--builtin", "random", "9", "24", "5", "--scheme", "target-fidelity",
          "--level", "best", "--grid", "0.99,0.9,0.5"),

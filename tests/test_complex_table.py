@@ -54,6 +54,18 @@ def test_nonfinite_rejected():
             t.lookup(re, im)
 
 
+def test_coordinates_past_the_bucket_range_rejected():
+    # finite, but their bucket index overflows an int at the default tolerance
+    t = ComplexTable()
+    for re, im in [(1e302, 0.0), (0.0, -1e302)]:
+        with pytest.raises(NumericDomainError):
+            t.lookup(re, im)
+    with pytest.raises(NumericDomainError):
+        DDPackage().terminal_edge(1.7e308)
+    big = t.lookup(1e300, 0.0)
+    assert (big.re, big.im) == (1e300, 0.0) and len(t) == 3
+
+
 def test_demo_root_weight_value():
     t = ComplexTable()
     v = t.lookup(2 / math.sqrt(10.0), 0.0)

@@ -11,10 +11,14 @@ from ddapprox import (
     DDError,
     NumericDomainError,
     SizeLimitError,
+    StateDD,
     TERMINAL,
     ZeroStateError,
     nodes_by_level,
+    qft,
+    random_circuit,
     reachable_nodes,
+    simulate,
 )
 from conftest import DEMO_VECTOR, demo_nodes
 
@@ -215,12 +219,40 @@ def test_renormalize_zero_state_raises(pkg):
         zero.renormalize()
 
 
-def test_to_vector_cap():
-    pkg = DDPackage(vector_cap=3)
-    dd = pkg.zero_state(4)
+@st.composite
+def norm_states(draw):
+    """Simulated random circuits and QFTs, `from_vector` states with
+    zero-stubs, and 0-qubit states with any root weight."""
+    pkg = DDPackage()
+    kind = draw(st.sampled_from(["circuit", "qft", "sparse", "empty"]))
+    if kind == "empty":
+        re, im = draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+        return StateDD(0, pkg.terminal_edge(re, im), pkg)
+    n = draw(st.integers(1, 6))
+    if kind == "circuit":
+        depth, seed = draw(st.integers(1, 3 * n)), draw(st.integers(0, 999))
+        return simulate(random_circuit(n, depth, seed), pkg)
+    if kind == "qft":
+        return simulate(qft(n), pkg)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vec = dense_ref.random_state(rng, n)
+    vec[rng.random(1 << n) < draw(st.sampled_from((0.0, 0.4, 0.8)))] = 0.0
+    vec[rng.integers(1 << n)] = 1.0
+    return pkg.from_vector(vec / np.linalg.norm(vec))
+
+
+@settings(max_examples=160, deadline=None)
+@given(dd=norm_states())
+def test_norm_equals_node_by_node_upstream(dd):
+    root = dd.root
+    want = math.sqrt(dense_ref._mag2(root.weight) * dense_ref.upstream_ref(dd)[root.target])
+    assert dd.norm() == want
+
+
+def test_to_vector_cap(pkg):
     with pytest.raises(SizeLimitError):
-        dd.to_vector()
-    assert pkg.zero_state(3).to_vector()[0] == 1.0
+        pkg.zero_state(21).to_vector()
+    assert pkg.zero_state(20).to_vector()[0] == 1.0
 
 
 def test_to_vector_leaves_no_garbage_cycle(pkg):
