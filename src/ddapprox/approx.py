@@ -21,7 +21,7 @@ from typing import Iterable, Union, get_args
 import numpy as np
 
 from .analysis import _contributions, _upstream, sample_paths
-from .dd import Edge, Node, StateDD, _mass, _rescaled, rebuild
+from .dd import Edge, Node, StateDD, _gc_paused, _mass, _rescaled, rebuild
 from .errors import ZeroStateError
 from .fidelity import fidelity as state_fidelity
 
@@ -183,6 +183,7 @@ class ApproxReport:
     eliminated: int  # nodes deliberately doomed
 
 
+@_gc_paused
 def eliminate(dd: StateDD, doomed: Iterable[Node]) -> StateDD:
     """Copy of `dd` with every edge into a doomed node turned into a zero-stub.
 
@@ -246,6 +247,7 @@ def _eliminate(dd: StateDD, doomed: Iterable[Node]) -> tuple[StateDD, int, float
     return out, len(rebuilt) + int(np.count_nonzero(seen[:-1])), total
 
 
+@_gc_paused
 def apply_scheme(dd: StateDD, scheme: Scheme):
     """Approximate `dd` with `scheme`; returns (approximated state, report).
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .complex_table import ComplexValue
-from .dd import DDPackage, Edge, StateDD, TERMINAL, rebuild
+from .dd import DDPackage, Edge, StateDD, TERMINAL, _gc_paused, rebuild
 from .errors import CircuitParseError, DDError
 from .rng import SplitMix64
 
@@ -158,6 +158,7 @@ def _primitive_ops(gate: Gate) -> list[Gate]:
     return [h, Gate("cz", (t, c)), h]
 
 
+@_gc_paused
 def simulate(
     circuit: Circuit, package: DDPackage | None = None, observer=None
 ) -> StateDD:
@@ -165,7 +166,8 @@ def simulate(
 
     The norm is re-checked after every gate and must stay within 4x the
     value-table tolerance of 1. When given, ``observer(index, gate, state)``
-    is called after each gate of the circuit.
+    is called after each gate of the circuit, with the cycle collector still
+    paused.
     """
     pkg = package if package is not None else DDPackage()
     state = pkg.zero_state(circuit.n)

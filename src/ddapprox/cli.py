@@ -1,8 +1,9 @@
 """Command-line driver: build a state, approximate it, report the trade-off.
 
-Exit codes: 0 success, 2 parse/usage errors, 3 the approximation zeroed the
-whole state (for `sweep`: at one or more grid values, whose rows are left
-out while the other rows are still written), 4 I/O failure.
+Exit codes: 0 success, 2 parse/usage errors and states too deep for the
+recursive walks, 3 the approximation zeroed the whole state (for `sweep`: at
+one or more grid values, whose rows are left out while the other rows are
+still written), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -215,6 +216,9 @@ def main(argv=None) -> int:
         return 4
     except (ValueError, DDError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        print(f"error: diagram too deep for Python's recursion limit ({exc})", file=sys.stderr)
         return 2
 
 

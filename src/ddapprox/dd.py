@@ -26,13 +26,23 @@ concurrently with another. The first analysis call on a state writes its
 level-array view (``StateDD.view``) to the state, and ``amplitude``,
 ``inner_product`` and ``renormalize`` insert values into the package's value
 table.
+
+The calls that allocate package objects in bulk (``simulate``,
+``DDPackage.from_vector``, ``apply_scheme`` and so every ``approx_*`` call,
+``eliminate``, ``fidelity`` and ``inner_product``) pause Python's cyclic
+garbage collector, process-wide, while they run, and turn it back on when
+they return or raise. Nodes, edges and values form a DAG that reference
+counting frees alone, so a collection would rescan the package and free
+nothing. Cyclic garbage made by another thread meanwhile waits until the
+call returns.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import repeat
 from operator import attrgetter, is_
 from typing import Iterable, NamedTuple, Sequence
@@ -41,6 +51,24 @@ import numpy as np
 
 from .complex_table import DEFAULT_TOL, ComplexTable, ComplexValue, sqr_mag
 from .errors import DDError, NumericDomainError, SizeLimitError, ZeroStateError
+
+
+def _gc_paused(fn):
+    """`fn` run with the cyclic garbage collector off, restored on return or
+    error. A call that starts with the collector off, such as one nested in
+    another paused call, leaves it off."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class _Terminal:
@@ -168,6 +196,7 @@ class DDPackage:
             e = self.make_node(level, e, self.zero_stub)
         return StateDD(n, e, self)
 
+    @_gc_paused
     def from_vector(self, amps: Sequence[complex]) -> "StateDD":
         """Canonical diagram for a dense amplitude vector.
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from .complex_table import ComplexValue
-from .dd import TERMINAL, Edge, StateDD
+from .dd import TERMINAL, Edge, StateDD, _gc_paused
 
 
+@_gc_paused
 def inner_product(a: StateDD, b: StateDD) -> ComplexValue:
     """<a|b>, the conjugated dot product, via pairwise recursion.
 
@@ -18,6 +19,7 @@ def inner_product(a: StateDD, b: StateDD) -> ComplexValue:
     return a.package.table.lookup(v.real, v.imag)
 
 
+@_gc_paused
 def fidelity(a: StateDD, b: StateDD) -> float:
     """|<a|b>|^2, clamped into [0, 1]. Exactly symmetric in its arguments."""
     v, _ = _inner_product(a, b)

@@ -211,6 +211,17 @@ def test_exit_code_usage_errors(capsys):
     assert code == 2
 
 
+def test_exit_code_recursion_too_deep(capsys):
+    # simulate's first per-gate norm check recurses once per level
+    code, out, err = run_cli(
+        capsys, "run", "--builtin", "ghz", "1500", "--scheme", "sampling", "--traversals", "10"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: diagram too deep for Python's recursion limit")
+
+
 # at tau = 50 no node of this state survives the threshold
 RANDOM_THRESHOLD = (
     "--builtin", "random", "10", "30", "3",

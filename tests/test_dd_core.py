@@ -1,4 +1,5 @@
 import gc
+import importlib
 import math
 
 import numpy as np
@@ -10,14 +11,25 @@ from ddapprox import (
     DDPackage,
     DDError,
     NumericDomainError,
+    PerLevelFidelity,
+    Sampling,
     SizeLimitError,
     StateDD,
     TERMINAL,
+    TargetFidelity,
+    Threshold,
     ZeroStateError,
+    apply_scheme,
+    contributions,
+    eliminate,
+    fidelity,
+    ghz,
+    inner_product,
     nodes_by_level,
     qft,
     random_circuit,
     reachable_nodes,
+    sample_paths,
     simulate,
 )
 from conftest import DEMO_VECTOR, demo_nodes
@@ -255,17 +267,114 @@ def test_to_vector_cap(pkg):
     assert pkg.zero_state(20).to_vector()[0] == 1.0
 
 
-def test_to_vector_leaves_no_garbage_cycle(pkg):
-    # Its per-node memo of dense arrays must be freed on return, not held by
-    # a reference cycle until the cycle collector runs.
+def _exercise_public_calls() -> None:
+    pkg = DDPackage()
+    for circuit in (ghz(8), qft(5), random_circuit(6, 10, 2)):
+        simulate(circuit, pkg).validate()
     dd = pkg.from_vector(DEMO_VECTOR)
+    for scheme in (Sampling(64, 1), Threshold(64, 8, 1), TargetFidelity(0.7), PerLevelFidelity(0.7)):
+        apply_scheme(dd, scheme)
+    out = eliminate(dd, [demo_nodes(dd)["q2r"]])
+    fidelity(dd, out)
+    inner_product(dd, out)
+    out.renormalize()
+    dd.amplitude("011")
+    dd.to_vector()
+    dd.to_dot()
+    out.validate()
+    contributions(dd)
+    sample_paths(dd, 32, 3)
+    try:  # not pytest.raises: its ExceptionInfo would hold this frame in a cycle
+        eliminate(dd, reachable_nodes(dd))
+    except ZeroStateError:
+        pass
+    else:
+        raise AssertionError("eliminating every node must raise ZeroStateError")
+
+
+def test_public_calls_leave_no_garbage_cycle():
+    # The diagram-building calls pause the cycle collector, which is safe
+    # only while reference counting frees everything the package makes: a
+    # reference cycle (say, a closure that refers to itself, or to_vector's
+    # memo held by one) would otherwise pile up unseen while it is paused.
     gc.collect()
     gc.disable()
     try:
-        dd.to_vector()
+        _exercise_public_calls()  # its results are dropped on return
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# One normal call of each entry point that pauses the cycle collector.
+PAUSED_CALLS = {
+    "simulate": lambda pkg, dd: simulate(ghz(3), pkg),
+    "from_vector": lambda pkg, dd: pkg.from_vector(DEMO_VECTOR),
+    "apply_scheme": lambda pkg, dd: apply_scheme(dd, TargetFidelity(0.7)),
+    "eliminate": lambda pkg, dd: eliminate(dd, [demo_nodes(dd)["q2r"]]),
+    "fidelity": lambda pkg, dd: fidelity(dd, pkg.from_vector(DEMO_VECTOR[::-1])),
+    "inner_product": lambda pkg, dd: inner_product(dd, pkg.from_vector(DEMO_VECTOR[::-1])),
+}
+
+
+@pytest.fixture
+def collector():
+    """Restores the cycle collector's state whatever the test leaves it in."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("name", sorted(PAUSED_CALLS))
+def test_paused_call_restores_the_collector(pkg, demo_state, monkeypatch, collector, name, enabled):
+    inside = []
+
+    def spy(original):
+        def record(*args):
+            inside.append(gc.isenabled())
+            return original(*args)
+
+        return record
+
+    fid = importlib.import_module("ddapprox.fidelity")
+    monkeypatch.setattr(DDPackage, "make_node", spy(DDPackage.make_node))
+    monkeypatch.setattr(fid, "_ip", spy(fid._ip))
+    (gc.enable if enabled else gc.disable)()
+    PAUSED_CALLS[name](pkg, demo_state)
+    assert inside and not any(inside)
+    assert gc.isenabled() is enabled
+
+
+def test_collector_restored_after_errors(pkg, demo_state, collector):
+    with pytest.raises(ZeroStateError):
+        eliminate(demo_state, reachable_nodes(demo_state))
+    assert gc.isenabled()
+    with pytest.raises(RecursionError):  # the first per-gate norm check
+        simulate(ghz(1500), pkg)
+    assert gc.isenabled()
+    with pytest.raises(ValueError):
+        pkg.from_vector([1.0, 0.0, 0.0])
+    assert gc.isenabled()
+    with pytest.raises(ValueError):
+        fidelity(demo_state, pkg.zero_state(2))
+    assert gc.isenabled()
+
+
+def test_nested_paused_call_keeps_the_collector_off(demo_state, monkeypatch, collector):
+    approx = importlib.import_module("ddapprox.approx")
+    after = []
+
+    def nested(a, b):
+        f = fidelity(a, b)
+        after.append(gc.isenabled())
+        return f
+
+    monkeypatch.setattr(approx, "state_fidelity", nested)
+    _, report = apply_scheme(demo_state, TargetFidelity(0.7))
+    assert report.eliminated > 0
+    assert after == [False]
+    assert gc.isenabled()
 
 
 def test_zero_qubit_state(pkg):
