@@ -11,9 +11,11 @@ Three per-node numbers drive the approximation schemes:
   to 1, because every nonzero path crosses each level exactly once.
 
 All passes run over the state's cached level-array view (`StateDD.view`),
-one numpy step per level, so they need no recursion. Every float comes from
-the same operations in the same order as in a node-by-node pass, so the
-results match such a pass bit for bit.
+one numpy step per level, so they need no recursion. The view computes the
+upstream once, bottom-up (`LevelView.up`), and every pass reads it; the
+downstream is pushed top-down from the root. Every float comes from the same
+operations in the same order as in a node-by-node pass, so the results
+match such a pass bit for bit.
 """
 
 from __future__ import annotations
@@ -23,56 +25,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex_table import sqr_mag
-from .dd import TERMINAL, LevelView, Node, StateDD
+from .dd import TERMINAL, Node, StateDD
 from .rng import derive_seeds, random_array
 
 
-def _upstream(view: LevelView) -> np.ndarray:
-    """Upstream per node index, bottom-up; the sentinel entry is 1."""
-    up = np.empty(len(view.nodes) + 1)
-    up[-1] = 1.0
-    for _, start, stop in reversed(view.levels):
-        s = slice(start, stop)
-        up[s] = view.mag0[s] * up[view.succ0[s]] + view.mag1[s] * up[view.succ1[s]]
-    return up
-
-
 def _downstream(dd: StateDD) -> np.ndarray:
-    """Downstream per node index, top-down.
+    """Downstream per node index, pushed down one level at a time.
 
-    A node's mass is summed over its incoming edges in parent (level, uid)
-    order, 0-successor edge before 1-successor edge: the stable sort by
-    child keeps that order, and bincount adds each bin's weights in turn.
+    `np.add.at` adds the edges of a level into their children in turn,
+    parents in (level, uid) order and each parent's 0-successor edge before
+    its 1-successor edge, so a node's incoming masses are summed in that
+    order. Edges into the terminal land on the sentinel entry, dropped here.
     """
     view = dd.view
-    m = len(view.nodes)
-    down = np.empty(m)
-    if not m:
-        return down
-    child = np.stack((view.succ0, view.succ1), axis=1).ravel()
-    mag = np.stack((view.mag0, view.mag1), axis=1).ravel()
-    parent = np.repeat(np.arange(m), 2)
-    order = np.argsort(child, kind="stable")
-    order = order[child[order] < m]  # edges into the terminal carry no node
-    child, mag, parent = child[order], mag[order], parent[order]
+    succ = np.stack((view.succ0, view.succ1), axis=1)
+    mag = np.stack((view.mag0, view.mag1), axis=1)
+    down = np.zeros(len(view.nodes) + 1)
     down[0] = sqr_mag(dd.root.weight)  # the root is alone on the top level
-    for _, start, stop in view.levels[1:]:
-        a, b = np.searchsorted(child, (start, stop))
-        down[start:stop] = np.bincount(
-            child[a:b] - start, weights=down[parent[a:b]] * mag[a:b], minlength=stop - start
-        )
-    return down
+    for _, start, stop in view.levels:
+        s = slice(start, stop)
+        np.add.at(down, succ[s].ravel(), (down[s, None] * mag[s]).ravel())
+    return down[:-1]
 
 
 def _contributions(dd: StateDD) -> np.ndarray:
     """Contribution per node index: downstream * upstream."""
-    return _downstream(dd) * _upstream(dd.view)[:-1]
+    return _downstream(dd) * dd.view.up[:-1]
 
 
 def upstream(dd: StateDD) -> dict:
     """Upstream of every reachable node, plus the terminal (mapped to 1.0)."""
     view = dd.view
-    up = _upstream(view).tolist()
+    up = view.up.tolist()
     out = dict(zip(view.nodes, up))
     out[TERMINAL] = up[-1]
     return out
@@ -121,7 +105,7 @@ def sample_paths(dd: StateDD, traversals: int, seed: int) -> VisitCounts:
         raise ValueError("traversals must be at least 1")
     view = dd.view
     m = len(view.nodes)
-    up = _upstream(view)
+    up = view.up
     p1 = view.mag1 * up[view.succ1] / up[:-1]
     counts = np.zeros(m, dtype=np.int64)
     for first in range(0, traversals if m else 0, _WALK_BLOCK):

@@ -20,7 +20,7 @@ from typing import Iterable, Union, get_args
 
 import numpy as np
 
-from .analysis import _contributions, _upstream, sample_paths
+from .analysis import _contributions, sample_paths
 from .dd import Edge, Node, StateDD, _gc_paused, _mass, _rescaled, rebuild
 from .errors import ZeroStateError
 from .fidelity import fidelity as state_fidelity
@@ -208,11 +208,12 @@ def _eliminate(dd: StateDD, doomed: Iterable[Node]) -> tuple[StateDD, int, float
     One bottom-up pass over the view marks the nodes to keep:
     ``keep = fixed & ~doomed & keep[succ0] & keep[succ1]``. The mass walk
     `dd._mass` visits only the result nodes outside `dd.view` and reads a
-    view node's mass from its upstream, the same products and sums in the
-    same order as `StateDD.norm` takes, so the rescaled root is the one
-    `renormalize` gives, bit for bit. The view nodes the walk steps onto
-    are spread down the view one level at a time and counted; a node that
-    `make_node` gave back from the view is counted there, once.
+    view node's mass from `view.up`, which all trials on `dd` share: the
+    same products and sums in the same order as `StateDD.norm` takes, so
+    the rescaled root is the one `renormalize` gives, bit for bit. The view
+    nodes the walk steps onto are spread down the view one level at a time
+    and counted; a node that `make_node` gave back from the view is counted
+    there, once.
     """
     pkg = dd.package
     view = dd.view
@@ -235,7 +236,7 @@ def _eliminate(dd: StateDD, doomed: Iterable[Node]) -> tuple[StateDD, int, float
 
     reached: list[int] = []  # view indices stepped onto; the terminal is one
     rebuilt: dict[Node, float] = {}  # result nodes outside the view -> mass below
-    total = _mass(root, view.index, _upstream(view).tolist(), reached, rebuilt)
+    total = float(_mass(root, view.index, view.up, reached, rebuilt))
     out = _rescaled(dd.n, root, pkg, total)
     seen = np.zeros(len(view.nodes) + 1, dtype=bool)
     seen[reached] = True

@@ -139,23 +139,21 @@ def _matrix(kind: str, angle: float | None):
     return _MATRICES[kind]
 
 
-def _primitive_ops(gate: Gate) -> list[Gate]:
-    """Rewrite `gate` into ops that are 1-qubit or controlled-from-above."""
-    kind = gate.kind
+def _steps(kind: str, qubits: tuple[int, ...], angle: float | None = None) -> list[tuple]:
+    """A gate as `_apply` arguments (matrix, target, control): 1-qubit steps
+    (control None) and steps controlled from above."""
     if kind in ONE_QUBIT:
-        return [gate]
+        return [(_matrix(kind, angle), qubits[0], None)]
     if kind == "swap":
-        a, b = gate.qubits
-        ab = _primitive_ops(Gate("cx", (a, b)))
-        ba = _primitive_ops(Gate("cx", (b, a)))
+        ab, ba = _steps("cx", qubits), _steps("cx", qubits[::-1])
         return [*ab, *ba, *ab]
-    c, t = gate.qubits
-    if c < t:
-        return [gate]
-    if kind in ("cz", "cp"):  # diagonal, symmetric in its two qubits
-        return [Gate(kind, (t, c), gate.angle)]
-    h = Gate("h", (t,))
-    return [h, Gate("cz", (t, c)), h]
+    c, t = qubits
+    # cx from above, or cz/cp (diagonal, so symmetric in c and t): the X, Z
+    # or P matrix on the lower qubit, controlled by the upper one
+    if kind != "cx" or c < t:
+        return [(_matrix(kind[1:], angle), max(c, t), min(c, t))]
+    h = (_MATRICES["h"], t, None)
+    return [h, (_MATRICES["z"], c, t), h]
 
 
 @_gc_paused
@@ -174,12 +172,8 @@ def simulate(
     bound = 4.0 * pkg.table.tol
     for idx, gate in enumerate(circuit.gates):
         root = state.root
-        for op in _primitive_ops(gate):
-            if op.kind in ONE_QUBIT:
-                root = _apply(pkg, root, _matrix(op.kind, op.angle), op.qubits[0])
-            else:
-                base = {"cx": "x", "cz": "z", "cp": "p"}[op.kind]
-                root = _apply(pkg, root, _matrix(base, op.angle), op.qubits[1], op.qubits[0])
+        for mat, target, control in _steps(gate.kind, gate.qubits, gate.angle):
+            root = _apply(pkg, root, mat, target, control)
         state = StateDD(circuit.n, root, pkg)
         drift = abs(state.norm() - 1.0)
         if drift > bound:

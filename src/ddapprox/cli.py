@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .approx import PerLevelFidelity, Sampling, Scheme, TargetFidelity, Threshold, apply_scheme
 from .circuits import ghz, parse, qft, random_circuit, simulate
-from .dd import DDPackage, StateDD
+from .dd import DDPackage, StateDD, _gc_paused
 from .errors import CircuitParseError, DDError, ZeroStateError
 
 _S10 = math.sqrt(10.0)
@@ -199,6 +199,7 @@ def _cmd_sweep(args) -> int:
     return 3 if failed else 0
 
 
+@_gc_paused
 def main(argv=None) -> int:
     args = _build_cli().parse_args(argv)
     try:

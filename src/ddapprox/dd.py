@@ -29,9 +29,9 @@ table.
 
 The calls that allocate package objects in bulk (``simulate``,
 ``DDPackage.from_vector``, ``apply_scheme`` and so every ``approx_*`` call,
-``eliminate``, ``fidelity`` and ``inner_product``) pause Python's cyclic
-garbage collector, process-wide, while they run, and turn it back on when
-they return or raise. Nodes, edges and values form a DAG that reference
+``eliminate``, ``fidelity``, ``inner_product``, and the CLI's ``main``)
+pause Python's cyclic garbage collector, process-wide, while they run, and
+turn it back on when they return or raise. Nodes, edges and values form a DAG that reference
 counting frees alone, so a collection would rescan the package and free
 nothing. Cyclic garbage made by another thread meanwhile waits until the
 call returns.
@@ -307,6 +307,11 @@ class LevelView:
     Successors always sit on a deeper level, so passes over the diagram can
     go one whole level at a time, bottom-up or top-down.
 
+    ``up[i]`` is node ``i``'s upstream mass: the summed probability of
+    every path from it down to the terminal, without the weight on the edge
+    into it. It is computed once, bottom-up one level at a time, for every
+    pass over the view to read; the sentinel entry is 1.
+
     ``fixed[i]`` is True when node ``i`` is a fixed point of ``make_node``:
     calling it on the node's own successors returns ``Edge(node, table.one)``
     and adds nothing to either table. A two-successor node is one when ``w0
@@ -319,7 +324,7 @@ class LevelView:
     dropped the state. The sentinel entry is True.
     """
 
-    __slots__ = ("nodes", "index", "succ0", "succ1", "mag0", "mag1", "levels", "fixed")
+    __slots__ = ("nodes", "index", "succ0", "succ1", "mag0", "mag1", "levels", "up", "fixed")
 
     def __init__(self, nodes: list[Node], table: ComplexTable):
         # two stable sorts on int keys: several times faster than tuple keys
@@ -337,6 +342,13 @@ class LevelView:
         self.levels = tuple(
             (lv[a], a, b) for a, b in zip([0, *cuts], [*cuts, m]) if a < b
         )
+        up = np.empty(m + 1)
+        up[-1] = 1.0
+        for _, start, stop in reversed(self.levels):
+            s = slice(start, stop)
+            up[s] = self.mag0[s] * up[self.succ0[s]] + self.mag1[s] * up[self.succ1[s]]
+        up.flags.writeable = False
+        self.up = up
         fixed = np.append((one0 & (self.mag1 <= 1.0)) | (one1 & (self.mag0 < 1.0)), True)
         for i in np.flatnonzero(zero0 | zero1).tolist():
             w = (nodes[i].succ1 if zero0[i] else nodes[i].succ0).weight
@@ -367,7 +379,7 @@ def _mass(e: Edge, index: dict, up: Sequence[float], reached: list[int], memo: d
     `up[index[v]]` stands in for the mass below each node `v` in `index`,
     which must hold the terminal; the walk appends those indices to
     `reached` and memoizes every other node in `memo`. `StateDD.norm`
-    knows only the terminal. `approx._eliminate` passes a view's upstream,
+    knows only the terminal. `approx._eliminate` passes `LevelView.up`,
     which sums the same products in the same order.
     """
     w2 = sqr_mag(e.weight)

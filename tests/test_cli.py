@@ -1,3 +1,6 @@
+import gc
+import hashlib
+import importlib
 import math
 
 import numpy as np
@@ -379,6 +382,59 @@ def test_sweep_rows_pinned(capsys, name):
     code, out, err = run_cli(capsys, "sweep", *args)
     assert code == 0, err
     assert out.splitlines() == [CSV_HEADER, *rows]
+
+
+# The acceptance sweeps. Their stdout, concatenated in this order, has had
+# one md5 since the sweep CSV format was fixed; a change that moves any byte
+# of it changes results and must say so.
+ACCEPTANCE_SWEEPS = (
+    "--builtin random 10 30 3 --scheme threshold --traversals 500 --seed 7 --grid 0,1,2,5,9",
+    "--builtin qft 8 --scheme target-fidelity --grid 0.99,0.9,0.5,0.1",
+    "--builtin random 10 30 7 --scheme per-level --grid 0.99,0.9,0.5",
+    "--builtin random 10 30 7 --scheme target-fidelity --level 4 --grid 0.99,0.9,0.5",
+    "--builtin ghz 20 --scheme sampling --seed -1 --grid 1,10,100",
+)
+
+
+def test_acceptance_sweeps_md5(capsys):
+    out = []
+    for args in ACCEPTANCE_SWEEPS:
+        code, text, err = run_cli(capsys, "sweep", *args.split())
+        assert code == 0, err
+        out.append(text)
+    assert hashlib.md5("".join(out).encode()).hexdigest() == "3fa0cd27508220f6f5c4cbdda7a3e961"
+
+
+def test_sweep_runs_with_the_collector_paused(capsys, monkeypatch):
+    # Each paused library call leaves young objects behind. Unless main keeps
+    # the collector paused throughout, it rescans them between the calls.
+    cli = importlib.import_module("ddapprox.cli")
+    sweep = cli._cmd_sweep
+    inside, starts = [False], []
+
+    def traced(args):
+        inside[0] = True
+        code = sweep(args)
+        inside[0] = False
+        return code
+
+    def record(phase, info):
+        if phase == "start" and inside[0]:
+            starts.append(info["generation"])
+
+    monkeypatch.setattr(cli, "_cmd_sweep", traced)
+    assert gc.isenabled()
+    gc.callbacks.append(record)
+    try:
+        code, _, err = run_cli(
+            capsys, "sweep", "--builtin", "random", "8", "20", "3",
+            "--scheme", "target-fidelity", "--grid", "0.99,0.9,0.5",
+        )
+    finally:
+        gc.callbacks.remove(record)
+    assert code == 0, err
+    assert starts == []
+    assert gc.isenabled()
 
 
 def test_csv_byte_stable_across_processes(tmp_path):
