@@ -102,8 +102,9 @@ class Threshold:
         return self.tau
 
     def candidates(self, dd: StateDD) -> list[list[Node]]:
-        counts = sample_paths(dd, self.traversals, self.seed).counts
-        return [[v for v, c in counts.items() if c <= self.tau]]
+        visits = sample_paths(dd, self.traversals, self.seed)
+        doomed = np.flatnonzero(visits.array <= self.tau).tolist()
+        return [[visits.nodes[i] for i in doomed]]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ independent.
 
 A package and its states are a single-threaded unit; no query is safe to run
 concurrently with another. The first analysis call on a state writes its
-level-array view (``StateDD.view``) to the state, and ``amplitude``,
+level-array view (``StateDD.view``) to the state, every path-sampling call
+writes its visit counts to the state's walk cache, and ``amplitude``,
 ``inner_product`` and ``renormalize`` insert values into the package's value
 table.
 
@@ -445,6 +446,12 @@ class StateDD:
     def view(self) -> LevelView:
         """The state's level-array view, built on first use and kept."""
         return LevelView(reachable_nodes(self), self.package.table)
+
+    @cached_property
+    def _walks(self) -> dict[int, tuple]:
+        """`sample_paths`' walk cache: seed modulo 2**64 -> (walks taken,
+        read-only int64 visit count per view node index)."""
+        return {}
 
     def norm(self) -> float:
         return math.sqrt(_mass(self.root, {TERMINAL: 0}, (1.0,), [], {}))

@@ -60,12 +60,14 @@ def derive_seeds(seed: int, start: int, stop: int) -> np.ndarray:
     return scramble_array(np.uint64(seed & _MASK64) + steps)
 
 
-def random_array(states: np.ndarray) -> np.ndarray:
-    """`SplitMix64.random` for many streams at once.
+def draw_array(states: np.ndarray, k: int) -> np.ndarray:
+    """The k-th draw (k >= 1) of many streams at once, as 53-bit integers.
 
     `states` holds one splitmix64 state per stream (seeded like
-    `SplitMix64(s)` with `s` from `derive_seeds`); each is stepped in place,
-    so the k-th call returns every stream's k-th draw.
+    `SplitMix64(s)` with `s` from `derive_seeds`) and is left as it is.
+    Entry i is `scramble(states[i] + k·γ) >> 11`; times 2**-53 it is the
+    k-th `SplitMix64(states[i]).random()`. Every operand is a uint64 array
+    or scalar, so the arithmetic wraps and is never promoted.
     """
-    states += np.uint64(_GOLDEN)
-    return (scramble_array(states) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    step = np.uint64((k * _GOLDEN) & _MASK64)
+    return scramble_array(states + step) >> np.uint64(11)

@@ -20,6 +20,7 @@ from ddapprox import (
     Threshold,
     ZeroStateError,
     apply_scheme,
+    approx_threshold,
     contributions,
     eliminate,
     fidelity,
@@ -284,6 +285,13 @@ def _exercise_public_calls() -> None:
     out.validate()
     contributions(dd)
     sample_paths(dd, 32, 3)
+    fresh = pkg.from_vector(DEMO_VECTOR)
+    contributions(fresh)
+    assert "_walks" not in vars(fresh)  # only sampling fills the walk cache
+    for traversals in (32, 64, 64, 16):
+        sample_paths(fresh, traversals, 3)
+        approx_threshold(fresh, traversals, 4, seed=-1)
+    assert set(vars(fresh)["_walks"]) == {3, 2**64 - 1}
     try:  # not pytest.raises: its ExceptionInfo would hold this frame in a cycle
         eliminate(dd, reachable_nodes(dd))
     except ZeroStateError:

@@ -1,24 +1,36 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddapprox import (
+    ComplexValue,
     DDPackage,
+    Edge,
+    Node,
     StateDD,
     approx_sampling,
     approx_target_fidelity,
+    approx_threshold,
     contributions,
     downstream,
+    ghz,
     nodes_by_level,
     sample_paths,
+    simulate,
     upstream,
 )
+from ddapprox import analysis
 from ddapprox.rng import (
+    _GOLDEN,
+    _MASK64,
+    _MIX1,
+    _MIX2,
     SplitMix64,
     _scramble,
     derive_seed,
     derive_seeds,
-    random_array,
+    draw_array,
     scramble_array,
 )
 
@@ -116,8 +128,120 @@ def test_array_streams_match_scalar_streams(seed, start, count, draws):
     states = derive_seeds(seed, start, start + count)
     assert states.tolist() == [derive_seed(seed, i) for i in indices]
     scalar = [SplitMix64(derive_seed(seed, i)) for i in indices]
-    for _ in range(draws):
-        assert random_array(states).tolist() == [s.random() for s in scalar]
+    for k in range(1, draws + 1):
+        got = draw_array(states, k).astype(np.float64) * 2.0**-53
+        assert got.tolist() == [s.random() for s in scalar]
+    assert states.tolist() == [derive_seed(seed, i) for i in indices]
+
+
+def _unxorshift(y, shift):
+    z = y
+    for _ in range(64 // shift):
+        z = y ^ (z >> shift)
+    return z
+
+
+def _unscramble(z):
+    """The inverse of `_scramble`: undo each xorshift and odd product."""
+    z = _unxorshift(z, 31)
+    z = (z * pow(_MIX2, -1, 1 << 64)) & _MASK64
+    z = _unxorshift(z, 27)
+    z = (z * pow(_MIX1, -1, 1 << 64)) & _MASK64
+    return _unxorshift(z, 30)
+
+
+def seed_with_first_output(x):
+    """The seed whose walk 0 gets the 64-bit output `x` on its first draw."""
+    s0 = (_unscramble(x) - _GOLDEN) & _MASK64  # derive_seed(seed, 0)
+    return (_unscramble(s0) - _GOLDEN) & _MASK64
+
+
+#: Walk 0 draws 2**53 - 1, the largest draw, at the root.
+TOP_SEED = seed_with_first_output(_MASK64)
+#: Walk 0 draws 0, the smallest draw, at the root.
+BOTTOM_SEED = seed_with_first_output(0)
+
+
+def test_crafted_seeds_give_the_extreme_first_draws():
+    assert SplitMix64(derive_seed(TOP_SEED, 0)).random() == 1.0 - 2.0**-53
+    assert SplitMix64(derive_seed(BOTTOM_SEED, 0)).random() == 0.0
+
+
+def forked_diagram(root_weights=None, tiny=1e-9):
+    """A root over two level-1 nodes: a 1-successor zero-stub (p1 = 0) and a
+    0-successor zero-stub (p1 = 1), so the walks the root sends each way
+    count apart. By default the root is reduced with 1-weight `tiny`; with
+    `root_weights`, two (re, im) pairs, it is built by hand, unreduced."""
+    pkg = DDPackage()
+    one = pkg.terminal_edge(1.0)
+    a = pkg.make_node(1, one, pkg.zero_stub)
+    b = pkg.make_node(1, pkg.zero_stub, one)
+    if root_weights is None:
+        return StateDD(2, pkg.make_node(0, a, Edge(b.target, pkg.table.lookup(tiny, 0.0))), pkg)
+    w0, w1 = (ComplexValue(re, im, -1) for re, im in root_weights)
+    root = Node(0, Edge(a.target, w0), Edge(b.target, w1), pkg._next_uid)
+    return StateDD(2, Edge(root, pkg.table.one), pkg)
+
+
+def root_p1(dd):
+    view = dd.view
+    return view.mag1[0] * view.up[view.succ1[0]] / view.up[0]
+
+
+def check_cached_calls(dd, calls):
+    for traversals, seed in calls:
+        got = sample_paths(dd, traversals, seed).counts
+        assert got == dense_ref.replay_walks(dd, traversals, seed)
+    assert set(vars(dd)["_walks"]) == {seed & _MASK64 for _, seed in calls}
+
+
+def cache_example(name):
+    """A state with few or no nodes that draw, and a seed to sample it with."""
+    if name == "ghz8":  # only the root draws
+        return simulate(ghz(8), DDPackage()), 0
+    if name == "zero6":  # no node draws
+        return DDPackage().zero_state(6), 0
+    if name == "top":
+        # |w1|^2 = 1 - 2**-53 over |w0|^2 = 2**-53: the root's p1 * 2**53 is
+        # 2**53 - 1 exactly, so the largest draw must still go to the 0-side.
+        dd = forked_diagram(((2.0**-27, 2.0**-27), (1.0 - 2.0**-53, 1.5 * 2.0**-27)))
+        assert root_p1(dd) == 1.0 - 2.0**-53
+        return dd, TOP_SEED
+    # p1 = 1e-18 < 2**-53: only a draw of 0 takes the 1-side.
+    dd = forked_diagram()
+    assert 0.0 < root_p1(dd) < 2.0**-53
+    return dd, BOTTOM_SEED
+
+
+@pytest.mark.parametrize("name", ["ghz8", "zero6", "top", "bottom"])
+def test_walk_cache_examples(monkeypatch, name):
+    dd, special = cache_example(name)
+    monkeypatch.setattr(analysis, "_WALK_BLOCK", 3)
+    calls = [(1, special), (5, 0), (40, 0), (40, 0), (3, 0), (17, -1), (80, 2**64 - 1),
+             (2, special), (9, special), (9, -1), (64, 0)]
+    check_cached_calls(dd, calls)
+    if name in ("top", "bottom"):  # walk 0 took the branch the extreme draw picks
+        assert sample_paths(dd, 1, special).counts[dd.view.nodes[1]] == (name == "top")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    vec=sparse_states(),
+    block=st.integers(1, 50),
+    calls=st.lists(
+        st.tuples(st.integers(1, 120), st.sampled_from((0, 5, -1, 2**64 - 1))),
+        min_size=1,
+        max_size=8,
+    ),
+)
+# ascending, repeated and descending counts, one seed as -1 and as 2**64 - 1
+@example(vec=sparse_state(4, 1, 2, 0.3), block=7,
+         calls=[(10, -1), (30, 2**64 - 1), (30, -1), (5, 0), (12, -1), (3, 2**64 - 1)])
+def test_walk_cache_matches_fresh_replays(vec, block, calls):
+    dd = DDPackage().from_vector(vec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_WALK_BLOCK", block)
+        check_cached_calls(dd, calls)
 
 
 def test_view_is_built_once_and_only_by_analysis():
@@ -128,8 +252,12 @@ def test_view_is_built_once_and_only_by_analysis():
     assert "view" not in vars(dd)
     view = dd.view
     contributions(dd)
-    sample_paths(dd, 10, seed=1)
+    assert "_walks" not in vars(dd)  # only sampling fills the walk cache
+    for traversals in (40, 100, 100, 20):
+        sample_paths(dd, traversals, seed=1)
+        approx_threshold(dd, traversals, 1, seed=1)
     assert dd.view is view
+    assert list(vars(dd)["_walks"]) == [1]
     assert [v for group in nodes_by_level(dd).values() for v in group] == view.nodes
     assert not view.succ0.flags.writeable and not view.up.flags.writeable
 
