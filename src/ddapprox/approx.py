@@ -21,7 +21,7 @@ from typing import Iterable, Union, get_args
 import numpy as np
 
 from .analysis import _contributions, sample_paths
-from .dd import Edge, Node, StateDD, _gc_paused, _mass, _rescaled, rebuild
+from .dd import Node, StateDD, _gc_paused, _mass, _rescaled, rebuild
 from .errors import ZeroStateError
 from .fidelity import fidelity as state_fidelity
 
@@ -229,7 +229,7 @@ def _eliminate(dd: StateDD, doomed: Iterable[Node]) -> tuple[StateDD, int, float
     def replace(v: Node):
         if v in doomed:
             return pkg.zero_stub
-        return Edge(v, one) if keep[view.index[v]] else None
+        return (v, one) if keep[view.index[v]] else None
 
     root = rebuild(pkg, dd.root, replace, {})
     if root.weight is pkg.table.zero:

@@ -9,6 +9,13 @@ memoized per (operation, node), so shared structure is transformed once.
 Controlled operations are kept in control-above-target form: cz/cp are
 symmetric in their qubits and are reordered freely, while a cx whose
 control sits below its target is rewritten exactly as H(target); cz; H(target).
+
+Inside the kernel (`_apply`, `_add` and the `dd._rebuild` walk) an edge is a
+plain (target, weight) pair, passed unpacked where it can be; an `Edge` is
+built only for what a state, a node or `make_node` hands out. Every
+value-table lookup and `make_node` call is made in the same order as by the
+Edge-building kernel kept in ``tests/dense_ref.py``, so both give the same
+nodes, uids and tables.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .complex_table import ComplexValue
-from .dd import DDPackage, Edge, StateDD, TERMINAL, _gc_paused, rebuild
+from .dd import TERMINAL, DDPackage, Edge, StateDD, _gc_paused, _rebuild
 from .errors import CircuitParseError, DDError
 from .rng import SplitMix64
 
@@ -174,7 +181,7 @@ def simulate(
         root = state.root
         for mat, target, control in _steps(gate.kind, gate.qubits, gate.angle):
             root = _apply(pkg, root, mat, target, control)
-        state = StateDD(circuit.n, root, pkg)
+        state = StateDD(circuit.n, Edge(*root), pkg)
         drift = abs(state.norm() - 1.0)
         if drift > bound:
             raise DDError(f"norm drifted by {drift:g} after gate {idx} ({gate.kind})")
@@ -183,74 +190,60 @@ def simulate(
     return state
 
 
-def _scaled(pkg: DDPackage, edge: Edge, w: ComplexValue | complex) -> Edge:
-    """`edge` with its weight multiplied by `w`: a table value, through
-    `table.mul` and its lookup-free `one` and `zero` short-cuts, or a plain
-    complex matrix entry, by one lookup of the same product."""
+def _add(pkg: DDPackage, ta, wa: ComplexValue, tb, wb: ComplexValue, memo: dict) -> tuple:
+    """Sum of the sub-vectors of the edges (`ta`, `wa`) and (`tb`, `wb`),
+    whose targets sit at the same level, as a (target, weight) pair."""
     t = pkg.table
-    ew = edge.weight
-    if not isinstance(w, complex):
-        nw = t.mul(w, ew)
-    elif w == 0 or ew is t.zero:
-        return pkg.zero_stub
-    else:
-        nw = t.lookup(ew.re * w.real - ew.im * w.imag, ew.re * w.imag + ew.im * w.real)
-    if nw is t.zero:
-        return pkg.zero_stub
-    return Edge(edge.target, nw)
-
-
-def _add(pkg: DDPackage, ea: Edge, eb: Edge, memo: dict) -> Edge:
-    """Sum of the two sub-vectors; operands sit at the same level."""
-    t = pkg.table
-    if ea.weight is t.zero:
-        return eb
-    if eb.weight is t.zero:
-        return ea
-    if ea.target is TERMINAL:
-        return pkg.terminal_edge(
-            ea.weight.re + eb.weight.re, ea.weight.im + eb.weight.im
-        )
-    key = (ea, eb)
+    if wa is t.zero:
+        return tb, wb
+    if wb is t.zero:
+        return ta, wa
+    if ta is TERMINAL:
+        return ta, t.lookup(wa.re + wb.re, wa.im + wb.im)
+    key = (ta, wa, tb, wb)
     res = memo.get(key)
     if res is None:
-        na, nb = ea.target, eb.target
-        wa, wb = ea.weight, eb.weight
-        res = pkg.make_node(
-            na.level,
-            _add(pkg, _scaled(pkg, na.succ0, wa), _scaled(pkg, nb.succ0, wb), memo),
-            _add(pkg, _scaled(pkg, na.succ1, wa), _scaled(pkg, nb.succ1, wb), memo),
-        )
-        memo[key] = res
+        a0, a1, b0, b1 = ta.succ0, ta.succ1, tb.succ0, tb.succ1
+        r0 = _add(pkg, a0.target, t.mul(wa, a0.weight), b0.target, t.mul(wb, b0.weight), memo)
+        r1 = _add(pkg, a1.target, t.mul(wa, a1.weight), b1.target, t.mul(wb, b1.weight), memo)
+        res = memo[key] = pkg.make_node(ta.level, r0, r1)
     return res
 
 
-def _apply(pkg: DDPackage, root: Edge, mat, target: int, control: int | None = None) -> Edge:
+def _apply(pkg: DDPackage, root: tuple, mat, target: int, control: int | None = None) -> tuple:
     """Mix successors by `mat` at level `target`; with a `control` (which must
-    lie above `target`), only inside the control's 1-cofactor."""
+    lie above `target`), only inside the control's 1-cofactor. `root` and
+    the result are (target, weight) pairs."""
     (u00, u01), (u10, u11) = mat
+    t = pkg.table
     add_memo: dict = {}
+
+    def times(w: ComplexValue, c: complex) -> ComplexValue:
+        # one lookup per product; none when either factor is zero
+        if c == 0 or w is t.zero:
+            return t.zero
+        return t.lookup(w.re * c.real - w.im * c.imag, w.re * c.imag + w.im * c.real)
 
     def mix(node):
         if node.level != target:
             return None
-        s0, s1 = node.succ0, node.succ1
+        (t0, w0), (t1, w1) = node.succ0, node.succ1
         return pkg.make_node(
             target,
-            _add(pkg, _scaled(pkg, s0, u00), _scaled(pkg, s1, u01), add_memo),
-            _add(pkg, _scaled(pkg, s0, u10), _scaled(pkg, s1, u11), add_memo),
+            _add(pkg, t0, times(w0, u00), t1, times(w1, u01), add_memo),
+            _add(pkg, t0, times(w0, u10), t1, times(w1, u11), add_memo),
         )
 
     if control is None:
-        return rebuild(pkg, root, mix, {})
+        return _rebuild(pkg, *root, mix, {})
     inner_memo: dict = {}
 
     def controlled(node):
         if node.level != control:
             return None
-        return pkg.make_node(control, node.succ0, rebuild(pkg, node.succ1, mix, inner_memo))
+        return pkg.make_node(control, node.succ0, _rebuild(pkg, *node.succ1, mix, inner_memo))
 
-    return rebuild(pkg, root, controlled, {})
+    return _rebuild(pkg, *root, controlled, {})
 
 
 # -- circuit families ---------------------------------------------------

@@ -32,10 +32,10 @@ The calls that allocate package objects in bulk (``simulate``,
 ``DDPackage.from_vector``, ``apply_scheme`` and so every ``approx_*`` call,
 ``eliminate``, ``fidelity``, ``inner_product``, and the CLI's ``main``)
 pause Python's cyclic garbage collector, process-wide, while they run, and
-turn it back on when they return or raise. Nodes, edges and values form a DAG that reference
-counting frees alone, so a collection would rescan the package and free
-nothing. Cyclic garbage made by another thread meanwhile waits until the
-call returns.
+turn it back on when they return or raise. Nodes, edges and values form a
+DAG that reference counting frees alone, so a collection would rescan the
+package and free nothing. Cyclic garbage made by another thread meanwhile
+waits until the call returns.
 """
 
 from __future__ import annotations
@@ -128,60 +128,63 @@ class DDPackage:
             return self.zero_stub
         return Edge(TERMINAL, w)
 
-    def make_node(self, level: int, succ0: Edge, succ1: Edge) -> Edge:
+    def make_node(self, level: int, succ0, succ1) -> Edge:
         """Normalized, deduplicated edge to a node with the given successors.
 
-        Returns the zero-stub when both successors are zero. The
-        normalization divisor is folded into the returned edge weight.
+        `succ0` and `succ1` may be any (target, weight) pairs: an `Edge` or
+        the plain tuples the gate kernel passes. Returns the zero-stub when
+        both successors are zero. The normalization divisor is folded into
+        the returned edge weight. A zero successor slot of the stored node
+        holds the shared zero-stub.
         """
         t = self.table
-        if succ0.weight is t.zero:
-            succ0 = self.zero_stub
-        if succ1.weight is t.zero:
-            succ1 = self.zero_stub
-        for e in (succ0, succ1):
-            if e.target is not TERMINAL and e.target.level <= level:
-                raise DDError(
-                    f"successor at level {e.target.level} not below level {level}"
-                )
+        zero = t.zero
+        t0, w0 = succ0
+        t1, w1 = succ1
+        for tx, wx in (succ0, succ1):
+            if wx is not zero and tx is not TERMINAL and tx.level <= level:
+                raise DDError(f"successor at level {tx.level} not below level {level}")
 
-        w0, w1 = succ0.weight, succ1.weight
         div: ComplexValue | None = None
-        if w0 is not t.zero and w1 is not t.zero:
-            if sqr_mag(w0) >= sqr_mag(w1):
+        if w0 is not zero and w1 is not zero:
+            if w0.re * w0.re + w0.im * w0.im >= w1.re * w1.re + w1.im * w1.im:
                 r = t.div(w1, w0)
-                if r is t.zero:
-                    succ1 = self.zero_stub  # ratio below tolerance: treat as empty
+                if r is zero:
+                    w1 = zero  # ratio below tolerance: treat as empty
                 else:
-                    div = w0
-                    succ0 = Edge(succ0.target, t.one)
-                    succ1 = Edge(succ1.target, r)
+                    div, w0, w1 = w0, t.one, r
             else:
                 r = t.div(w0, w1)
-                if r is t.zero:
-                    succ0 = self.zero_stub
+                if r is zero:
+                    w0 = zero
                 else:
-                    div = w1
-                    succ1 = Edge(succ1.target, t.one)
-                    succ0 = Edge(succ0.target, r)
+                    div, w0, w1 = w1, r, t.one
         if div is None:
             # zero or one live successor: phase stays below, magnitude goes up
-            if succ0.weight is t.zero and succ1.weight is t.zero:
+            if w0 is zero and w1 is zero:
                 return self.zero_stub
-            if succ1.weight is t.zero:
-                w = succ0.weight
-                mag = math.hypot(w.re, w.im)
-                succ0 = Edge(succ0.target, t.lookup(w.re / mag, w.im / mag))
+            if w1 is zero:
+                mag = math.hypot(w0.re, w0.im)
+                w0 = t.lookup(w0.re / mag, w0.im / mag)
             else:
-                w = succ1.weight
-                mag = math.hypot(w.re, w.im)
-                succ1 = Edge(succ1.target, t.lookup(w.re / mag, w.im / mag))
+                mag = math.hypot(w1.re, w1.im)
+                w1 = t.lookup(w1.re / mag, w1.im / mag)
             div = t.lookup(mag, 0.0)
 
-        key = (level, succ0.target, succ0.weight, succ1.target, succ1.weight)
+        if w0 is zero:
+            t0 = TERMINAL
+        if w1 is zero:
+            t1 = TERMINAL
+        key = (level, t0, w0, t1, w1)
         node = self._unique.get(key)
         if node is None:
-            node = Node(level, succ0, succ1, self._next_uid)
+            stub = self.zero_stub
+            node = Node(
+                level,
+                stub if w0 is zero else Edge(t0, w0),
+                stub if w1 is zero else Edge(t1, w1),
+                self._next_uid,
+            )
             self._next_uid += 1
             self._unique[key] = node
         return Edge(node, div)
@@ -249,30 +252,38 @@ class DDPackage:
 def rebuild(pkg: DDPackage, edge: Edge, replace, memo: dict) -> Edge:
     """Copy of the diagram below `edge` with some nodes replaced, re-reduced.
 
-    `replace(node)` returns the edge that stands for `node`, or None to
-    rebuild the node from its rebuilt successors (0-successor first) through
-    `make_node`. Results are memoized per node in `memo`, which callers may
-    share across walks; the incoming weight is multiplied back on.
+    `replace(node)` returns the (target, weight) pair that stands for
+    `node`, or None to rebuild the node from its rebuilt successors
+    (0-successor first) through `make_node`. Results are memoized per node
+    in `memo`, which callers may share across walks; the incoming weight is
+    multiplied back on. The walk itself (`_rebuild`) passes plain pairs.
     """
+    return Edge(*_rebuild(pkg, edge.target, edge.weight, replace, memo))
+
+
+def _rebuild(pkg: DDPackage, node, weight: ComplexValue, replace, memo: dict) -> tuple:
+    """`rebuild` of the edge (`node`, `weight`), as a plain pair."""
     t = pkg.table
-    if edge.weight is t.zero:
+    if weight is t.zero:
         return pkg.zero_stub
-    node = edge.target
     if node is TERMINAL:
-        return edge
+        return node, weight
     res = memo.get(node)
     if res is None:
         res = replace(node)
         if res is None:
+            t0, w0 = node.succ0
+            t1, w1 = node.succ1
             res = pkg.make_node(
                 node.level,
-                rebuild(pkg, node.succ0, replace, memo),
-                rebuild(pkg, node.succ1, replace, memo),
+                _rebuild(pkg, t0, w0, replace, memo),
+                _rebuild(pkg, t1, w1, replace, memo),
             )
         memo[node] = res
-    if res.weight is t.zero:
+    target, w = res
+    if w is t.zero:
         return pkg.zero_stub
-    return Edge(res.target, t.mul(edge.weight, res.weight))
+    return target, t.mul(weight, w)
 
 
 def reachable_nodes(dd: "StateDD") -> list[Node]:

@@ -15,20 +15,33 @@ running sum. `eliminate_ref` is elimination without the kept-subdiagram
 shortcut: it re-reduces every reachable node through `make_node`, and its
 norm walks the whole result with `upstream_ref`, not the package's mass walk.
 
-`ComplexTable` at the end is the value table as a scan of the nine
-``tol``-wide buckets around each query, with one list per bucket: the
-straightforward form of the closest-then-oldest rule that the package serves
-from an exact index and wider buckets.
+`ComplexTable` is the value table as a scan of the nine ``tol``-wide
+buckets around each query, with one list per bucket: the straightforward
+form of the closest-then-oldest rule that the package serves from an exact
+index and wider buckets.
+
+`simulate_edges` at the end is the gate-application kernel that builds an
+`Edge` for every scaled successor and every sum, kept as it was before the
+package's kernel passed plain (target, weight) pairs. It makes the same
+table calls in the same order, so both leave equal tables and roots.
 """
 
 import math
 
 import numpy as np
 
-from ddapprox import TERMINAL, ComplexValue, Edge, NumericDomainError, StateDD, ZeroStateError
+from ddapprox import (
+    TERMINAL,
+    ComplexValue,
+    DDPackage,
+    Edge,
+    NumericDomainError,
+    StateDD,
+    ZeroStateError,
+)
 from ddapprox.approx import _BUDGET_SLACK
 from ddapprox.complex_table import DEFAULT_TOL
-from ddapprox.dd import rebuild
+from ddapprox.circuits import _steps
 from ddapprox.rng import SplitMix64, derive_seed
 
 _S2 = 1.0 / np.sqrt(2.0)
@@ -340,3 +353,115 @@ class ComplexTable:
     def div_real(self, a: ComplexValue, s: float) -> ComplexValue:
         """a / s for a positive real scale factor."""
         return self.lookup(a.re / s, a.im / s)
+
+
+# -- Edge-building gate kernel reference -------------------------------------
+
+
+def simulate_edges(circuit, pkg):
+    """`simulate` through the Edge-building kernel below, without the
+    per-gate norm check (which makes no table call)."""
+    root = pkg.zero_state(circuit.n).root
+    for gate in circuit.gates:
+        for mat, target, control in _steps(gate.kind, gate.qubits, gate.angle):
+            root = _apply(pkg, root, mat, target, control)
+    return StateDD(circuit.n, root, pkg)
+
+
+def rebuild(pkg: DDPackage, edge: Edge, replace, memo: dict) -> Edge:
+    """Copy of the diagram below `edge` with some nodes replaced, re-reduced.
+
+    `replace(node)` returns the edge that stands for `node`, or None to
+    rebuild the node from its rebuilt successors (0-successor first) through
+    `make_node`. Results are memoized per node in `memo`, which callers may
+    share across walks; the incoming weight is multiplied back on.
+    """
+    t = pkg.table
+    if edge.weight is t.zero:
+        return pkg.zero_stub
+    node = edge.target
+    if node is TERMINAL:
+        return edge
+    res = memo.get(node)
+    if res is None:
+        res = replace(node)
+        if res is None:
+            res = pkg.make_node(
+                node.level,
+                rebuild(pkg, node.succ0, replace, memo),
+                rebuild(pkg, node.succ1, replace, memo),
+            )
+        memo[node] = res
+    if res.weight is t.zero:
+        return pkg.zero_stub
+    return Edge(res.target, t.mul(edge.weight, res.weight))
+
+
+def _scaled(pkg: DDPackage, edge: Edge, w: ComplexValue | complex) -> Edge:
+    """`edge` with its weight multiplied by `w`: a table value, through
+    `table.mul` and its lookup-free `one` and `zero` short-cuts, or a plain
+    complex matrix entry, by one lookup of the same product."""
+    t = pkg.table
+    ew = edge.weight
+    if not isinstance(w, complex):
+        nw = t.mul(w, ew)
+    elif w == 0 or ew is t.zero:
+        return pkg.zero_stub
+    else:
+        nw = t.lookup(ew.re * w.real - ew.im * w.imag, ew.re * w.imag + ew.im * w.real)
+    if nw is t.zero:
+        return pkg.zero_stub
+    return Edge(edge.target, nw)
+
+
+def _add(pkg: DDPackage, ea: Edge, eb: Edge, memo: dict) -> Edge:
+    """Sum of the two sub-vectors; operands sit at the same level."""
+    t = pkg.table
+    if ea.weight is t.zero:
+        return eb
+    if eb.weight is t.zero:
+        return ea
+    if ea.target is TERMINAL:
+        return pkg.terminal_edge(
+            ea.weight.re + eb.weight.re, ea.weight.im + eb.weight.im
+        )
+    key = (ea, eb)
+    res = memo.get(key)
+    if res is None:
+        na, nb = ea.target, eb.target
+        wa, wb = ea.weight, eb.weight
+        res = pkg.make_node(
+            na.level,
+            _add(pkg, _scaled(pkg, na.succ0, wa), _scaled(pkg, nb.succ0, wb), memo),
+            _add(pkg, _scaled(pkg, na.succ1, wa), _scaled(pkg, nb.succ1, wb), memo),
+        )
+        memo[key] = res
+    return res
+
+
+def _apply(pkg: DDPackage, root: Edge, mat, target: int, control: int | None = None) -> Edge:
+    """Mix successors by `mat` at level `target`; with a `control` (which must
+    lie above `target`), only inside the control's 1-cofactor."""
+    (u00, u01), (u10, u11) = mat
+    add_memo: dict = {}
+
+    def mix(node):
+        if node.level != target:
+            return None
+        s0, s1 = node.succ0, node.succ1
+        return pkg.make_node(
+            target,
+            _add(pkg, _scaled(pkg, s0, u00), _scaled(pkg, s1, u01), add_memo),
+            _add(pkg, _scaled(pkg, s0, u10), _scaled(pkg, s1, u11), add_memo),
+        )
+
+    if control is None:
+        return rebuild(pkg, root, mix, {})
+    inner_memo: dict = {}
+
+    def controlled(node):
+        if node.level != control:
+            return None
+        return pkg.make_node(control, node.succ0, rebuild(pkg, node.succ1, mix, inner_memo))
+
+    return rebuild(pkg, root, controlled, {})

@@ -1,11 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddapprox import (
     Circuit,
     CircuitParseError,
+    ComplexTable,
     DDPackage,
     Gate,
     ghz,
@@ -14,6 +18,7 @@ from ddapprox import (
     random_circuit,
     simulate,
 )
+from ddapprox.circuits import ANGLED, ONE_QUBIT, TWO_QUBIT
 
 import dense_ref
 
@@ -152,6 +157,61 @@ def test_random_circuits_match_dense(pkg):
         assert np.max(np.abs(got - want)) < 1e-9
 
 
+@st.composite
+def _circuits(draw):
+    """1-6 qubits, up to 24 gates of every kind; a cx runs in either direction."""
+    n = draw(st.integers(1, 6))
+    kinds = sorted(ONE_QUBIT | TWO_QUBIT) if n > 1 else sorted(ONE_QUBIT)
+    gates = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(kinds))
+        arity = 2 if kind in TWO_QUBIT else 1
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity, unique=True))
+        angle = draw(st.floats(0.0, 2.0 * math.pi)) if kind in ANGLED else None
+        gates.append(Gate(kind, tuple(qubits), angle))
+    return Circuit(n, tuple(gates))
+
+
+def _table_calls(run, circ):
+    """Simulate `circ` with `run` in a fresh package, logging every
+    `ComplexTable.lookup` argument pair and `make_node` level in call order."""
+    log = []
+    lookup, make_node = ComplexTable.lookup, DDPackage.make_node
+
+    def spy_lookup(table, re, im):
+        log.append(("lookup", re, im))
+        return lookup(table, re, im)
+
+    def spy_make_node(pkg, level, succ0, succ1):
+        log.append(("make_node", level))
+        return make_node(pkg, level, succ0, succ1)
+
+    ComplexTable.lookup, DDPackage.make_node = spy_lookup, spy_make_node
+    try:
+        pkg = DDPackage()
+        root = run(circ, pkg).root
+    finally:
+        ComplexTable.lookup, DDPackage.make_node = lookup, make_node
+    counts = (sum(c[0] == "lookup" for c in log), sum(c[0] == "make_node" for c in log))
+    summary = (root.target.uid, root.weight.re.hex(), root.weight.im.hex(),
+               len(pkg.table), pkg.unique_table_size(), counts)
+    return summary, log
+
+
+@settings(max_examples=120, deadline=None)
+@given(circ=_circuits())
+@example(circ=qft(5))
+@example(circ=parse("qubits 3\nh 2\nt 2\nh 1\ncx 2 0\ncx 1 0\n"))  # control below target
+@example(circ=parse("qubits 4\nh 0\nt 0\nh 3\nswap 0 3\nswap 2 1\n"))
+def test_kernel_matches_edge_building_reference(circ):
+    """The kernel passes plain pairs but makes the Edge-building kernel's
+    table calls in the same order, so roots, uids and tables are equal."""
+    got, got_log = _table_calls(simulate, circ)
+    want, want_log = _table_calls(dense_ref.simulate_edges, circ)
+    assert got == want
+    assert got_log == want_log
+
+
 def test_norm_preserved_after_every_gate(pkg):
     norms = []
     circ = random_circuit(5, depth=20, seed=44)
@@ -191,3 +251,29 @@ def test_builder_validation():
         random_circuit(0, 5, 1)
     with pytest.raises(ValueError):
         random_circuit(3, -1, 1)
+
+
+def _headroom():
+    """How many more frames the interpreter allows below the caller."""
+
+    def down(k):
+        try:
+            return down(k + 1)
+        except RecursionError:
+            return k
+
+    return down(0)
+
+
+def test_ghz_depth_under_a_recursion_limit():
+    """The kernel adds no frame per level: with 200 frames of headroom, the
+    largest GHZ state that simulates is the one the Edge-building kernel
+    reached."""
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(limit - _headroom() + 200)
+        assert simulate(ghz(193)).size() == 2 * 193 - 1
+        with pytest.raises(RecursionError):
+            simulate(ghz(194))
+    finally:
+        sys.setrecursionlimit(limit)

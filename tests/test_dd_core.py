@@ -83,6 +83,38 @@ def test_make_node_rejects_bad_levels(pkg):
         pkg.make_node(2, inner, pkg.zero_stub)
 
 
+def _node_calls(pkg, pair):
+    """The same make_node calls, successors passed through `pair`."""
+    leaf = [pkg.terminal_edge(x, y) for x, y in ((0.6, 0.1), (-0.8, 0.0), (5.0, 0.0), (2e-10, 0.0))]
+    a = pkg.make_node(1, pair(leaf[0]), pair(leaf[1]))
+    b = pkg.make_node(1, pair(leaf[1]), pair(pkg.zero_stub))
+    c = pkg.make_node(1, pair(leaf[2]), pair(leaf[3]))  # ratio below tolerance
+    return [a, b, c, pkg.make_node(0, pair(a), pair(b)), pkg.make_node(0, pair(c), pair(c))]
+
+
+def test_make_node_takes_plain_pairs():
+    by_edge, by_pair = DDPackage(), DDPackage()
+    got = _node_calls(by_pair, tuple)
+    want = _node_calls(by_edge, lambda e: e)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert (g.target.uid, g.target.level) == (w.target.uid, w.target.level)
+        assert (g.weight.re, g.weight.im, g.weight.seq) == (w.weight.re, w.weight.im, w.weight.seq)
+    assert len(by_pair.table) == len(by_edge.table)
+    assert by_pair.unique_table_size() == by_edge.unique_table_size()
+    # an empty successor slot holds the package's one shared zero-stub
+    assert got[1].target.succ1 is by_pair.zero_stub
+    assert got[2].target.succ1 is by_pair.zero_stub
+
+
+def test_make_node_checks_levels_of_live_pairs_only(pkg):
+    inner = pkg.make_node(1, pkg.terminal_edge(1.0), pkg.zero_stub)
+    with pytest.raises(DDError, match="^successor at level 1 not below level 1$"):
+        pkg.make_node(1, pkg.terminal_edge(1.0), (inner.target, inner.weight))
+    e = pkg.make_node(1, (inner.target, pkg.table.zero), pkg.terminal_edge(-1.0))
+    assert e.target.succ0 is pkg.zero_stub
+
+
 def test_demo_vector_structure(pkg):
     dd = pkg.from_vector(DEMO_VECTOR)
     dd.validate()
@@ -126,7 +158,7 @@ def test_basis_state_structure(pkg):
     dd = pkg.from_vector(vec)
     assert dd.size() == n
     for node in reachable_nodes(dd):
-        assert node.succ1 == pkg.zero_stub
+        assert node.succ1 is pkg.zero_stub
     assert dd.amplitude("0" * n) is pkg.table.one
 
 
