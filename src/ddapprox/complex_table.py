@@ -5,18 +5,22 @@ collapse to a single representative object. Node hashing can then rely on
 plain object identity, and rounding dust accumulated in long weight products
 is absorbed instead of spawning near-duplicate nodes.
 
-A lookup that is not exactly 0 or 1 is served in two steps:
+Values live in a grid of buckets ``_BUCKET_TOLS * tol`` wide in each
+coordinate; bucket (i, j) holds the values with ``floor(re / w) == i`` and
+``floor(im / w) == j``. A lookup that is not exactly 0 or 1 scans its home
+bucket first and returns a value there at distance 0 at once: no second
+value can ever be stored at the same coordinates, so the closest-then-oldest
+rule would pick it too. Otherwise it also scans the neighbour in a
+coordinate, but only where the query lies within ``tol`` of that
+neighbour's edge. Every stored value within ``tol`` of the query lies in one
+of those (at most four) buckets, so the closest-then-oldest winner among
+them is the winner over the whole table.
 
-* An exact index maps the coordinates of every stored value to that value.
-  A query that repeats them is answered there: the stored value is at
-  distance 0, and no second value can ever be stored at the same
-  coordinates, so the closest-then-oldest rule would pick it too.
-* Otherwise the query scans a grid of buckets ``_BUCKET_TOLS * tol`` wide in
-  each coordinate: its own bucket, plus the neighbour in a coordinate only
-  where the query lies within ``tol`` of that neighbour's edge. Every stored
-  value within ``tol`` of the query lies in one of those (at most four)
-  buckets, so the closest-then-oldest winner among them is the winner over
-  the whole table.
+A bucket is keyed by the one int ``i * _STRIDE + j``. Two buckets whose
+packed ids alias (``|j|`` past ``_STRIDE / 2``, so ``|im|`` past about 220
+at the default tolerance, far above any amplitude or gate entry) share one
+chain; since every candidate is accepted by its exact distance alone, that
+only lengthens a scan.
 """
 
 from __future__ import annotations
@@ -36,6 +40,12 @@ DEFAULT_TOL = 1e-10
 #: state of the `sweep-fidelity` benchmark do.
 _BUCKET_TOLS = 1024
 
+#: Multiplier that packs a bucket index pair (i, j) into one int key. Keys of
+#: values below about 50 in magnitude (at the default tolerance) stay under
+#: the int hash modulus 2**61 - 1, so distinct keys hash apart; a multiple
+#: of the modulus would hash every key by j alone, all real values alike.
+_STRIDE = 1 << 32
+
 
 class ComplexValue:
     """One interned amplitude. Unique per table; compare with ``is``."""
@@ -46,7 +56,7 @@ class ComplexValue:
         self.re = re
         self.im = im
         self.seq = seq  # insertion order, used for deterministic tie-breaks
-        self.older = older  # the previous value stored in the same bucket
+        self.older = older  # the previous value stored under the same bucket key
 
     def as_complex(self) -> complex:
         return complex(self.re, self.im)
@@ -65,11 +75,11 @@ class ComplexTable:
 
     A query (re, im) is claimed by the stored value whose componentwise
     distance max(|dre|, |dim|) is smallest and below ``tol``, the oldest among
-    equals; with none, (re, im) is stored as a new value. The exact index
-    answers repeated coordinates and the buckets the rest (see the module
-    docstring). A bucket holds only its newest value, which links to the
-    older ones through ``ComplexValue.older``, so the table keeps no list
-    per bucket.
+    equals; with none, (re, im) is stored as a new value in its home bucket
+    (see the module docstring). The table keeps one dict: it maps a bucket's
+    packed id to the bucket's newest value, which links to the older ones
+    through ``ComplexValue.older``, so there is no list per bucket and no
+    second index.
 
     Exact 0 and 1 are seeded at construction so structural zeros and unit
     weights stay exact; being first, they always represent their own balls.
@@ -82,20 +92,16 @@ class ComplexTable:
             raise ValueError(f"tolerance must lie in (0, 1e-3), got {tol}")
         self.tol = tol
         self._width = _BUCKET_TOLS * tol
-        self._exact: dict[tuple[float, float], ComplexValue] = {}
-        self._buckets: dict[tuple[int, int], ComplexValue] = {}
-        self.zero = self._insert(0.0, 0.0, (0, 0))
-        self.one = self._insert(1.0, 0.0, (floor(1.0 / self._width), 0))
+        self.zero = ComplexValue(0.0, 0.0, 0)
+        self.one = ComplexValue(1.0, 0.0, 1)
+        self._buckets: dict[int, ComplexValue] = {
+            0: self.zero,
+            floor(1.0 / self._width) * _STRIDE: self.one,
+        }
+        self._count = 2
 
     def __len__(self) -> int:
-        return len(self._exact)
-
-    def _insert(self, re: float, im: float, key: tuple[int, int]) -> ComplexValue:
-        """Store (re, im) as a new value in bucket `key`, its own bucket."""
-        v = ComplexValue(re, im, len(self._exact), self._buckets.get(key))
-        self._buckets[key] = v
-        self._exact[(re, im)] = v
-        return v
+        return self._count
 
     def lookup(self, re: float, im: float) -> ComplexValue:
         """Canonical representative for (re, im); inserts if nothing is near.
@@ -109,44 +115,48 @@ class ComplexTable:
             return self.zero
         if re == 1.0 and im == 0.0:
             return self.one
-        v = self._exact.get((re, im))
-        if v is not None:
-            return v
-        if not (isfinite(re) and isfinite(im)):
-            raise NumericDomainError(f"non-finite amplitude ({re}, {im})")
-        tol, w = self.tol, self._width
-        # A stored value within tol of re has re - tol <= v.re <= re + tol,
-        # rounding keeps that order, so its bucket index lies in [i0, i1].
+        w = self._width
         try:
-            i0, i1 = floor((re - tol) / w), floor((re + tol) / w)
-            j0, j1 = floor((im - tol) / w), floor((im + tol) / w)
-        except OverflowError:  # finite, but no int bucket index fits it
+            i, j = floor(re / w), floor(im / w)
+        except (OverflowError, ValueError):  # inf or nan, or no int index fits
+            if not (isfinite(re) and isfinite(im)):
+                raise NumericDomainError(f"non-finite amplitude ({re}, {im})") from None
             raise NumericDomainError(f"amplitude ({re}, {im}) out of range") from None
-        home = (i0, j0)
-        if i1 == i0 and j1 == j0:
-            keys = (home,)
-        else:
-            keys = [home]
-            if i1 != i0:
-                keys.append((i1, j0))
-            if j1 != j0:
-                keys.append((i0, j1))
-                if i1 != i0:
-                    keys.append((i1, j1))
-            home = (floor(re / w), floor(im / w))
         buckets = self._buckets
+        key = i * _STRIDE + j
+        head = v = buckets.get(key)
         best: ComplexValue | None = None
-        best_d = tol
-        for key in keys:
-            v = buckets.get(key)
+        best_d = tol = self.tol
+        near: set[int] | None = None
+        while True:  # the home chain, then the neighbour chains
             while v is not None:
-                d = max(abs(v.re - re), abs(v.im - im))
+                d, e = abs(v.re - re), abs(v.im - im)
+                if e > d:
+                    d = e
                 if d < best_d or (d == best_d and best is not None and v.seq < best.seq):
+                    if d == 0.0:  # equal coordinates: no other value can be as close
+                        return v
                     best, best_d = v, d
                 v = v.older
+            if near is None:
+                # A stored value within tol of re has re - tol <= v.re <= re + tol,
+                # rounding keeps that order, so its bucket index lies in
+                # [floor((re - tol) / w), floor((re + tol) / w)]: i, and i - 1 or
+                # i + 1 as these tests find (likewise for im).
+                di = -1 if (re - tol) / w < i else 1 if (re + tol) / w >= i + 1 else 0
+                dj = -1 if (im - tol) / w < j else 1 if (im + tol) / w >= j + 1 else 0
+                if not (di or dj):
+                    break
+                near = {key + di * _STRIDE, key + dj, key + di * _STRIDE + dj}
+                near.discard(key)
+            elif not near:
+                break
+            v = buckets.get(near.pop())
         if best is not None:
             return best
-        return self._insert(re, im, home)
+        v = buckets[key] = ComplexValue(re, im, self._count, head)
+        self._count += 1
+        return v
 
     # -- canonical arithmetic -------------------------------------------
 

@@ -220,16 +220,16 @@ class DDPackage:
             raise ValueError(f"vector norm {nrm!r} is too far from 1")
         arr = arr / nrm
         n = size.bit_length() - 1
-        root = self._build(arr, 0)
+        root = self._build(arr.real.tolist(), arr.imag.tolist(), 0, size, 0)
         return StateDD(n, root, self)
 
-    def _build(self, arr: np.ndarray, level: int) -> Edge:
-        if arr.shape[0] == 1:
-            a = arr[0]
-            return self.terminal_edge(float(a.real), float(a.imag))
-        half = arr.shape[0] // 2
+    def _build(self, re: list[float], im: list[float], lo: int, hi: int, level: int) -> Edge:
+        """Edge for the amplitudes [lo, hi) given as float lists, post-order."""
+        if hi - lo == 1:
+            return self.terminal_edge(re[lo], im[lo])
+        mid = (lo + hi) // 2
         return self.make_node(
-            level, self._build(arr[:half], level + 1), self._build(arr[half:], level + 1)
+            level, self._build(re, im, lo, mid, level + 1), self._build(re, im, mid, hi, level + 1)
         )
 
     # -- maintenance ---------------------------------------------------------

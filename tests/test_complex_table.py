@@ -1,11 +1,15 @@
 import math
+import re
+import tracemalloc
+from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddapprox import ComplexTable, DDPackage, NumericDomainError, random_circuit, simulate, sqr_mag
-from ddapprox.complex_table import _BUCKET_TOLS
+from ddapprox.complex_table import _BUCKET_TOLS, _STRIDE
 
 import dense_ref
 
@@ -49,18 +53,27 @@ def test_distant_values_stay_distinct():
 
 def test_nonfinite_rejected():
     t = ComplexTable()
-    for re, im in [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.5, -math.inf)]:
-        with pytest.raises(NumericDomainError):
-            t.lookup(re, im)
+    for x, y in [
+        (math.nan, 0.0),
+        (0.0, math.nan),
+        (math.inf, 0.0),
+        (0.5, -math.inf),
+        (1e302, math.nan),  # 1e302 overflows its bucket index first
+    ]:
+        message = re.escape(f"non-finite amplitude ({x}, {y})")
+        with pytest.raises(NumericDomainError, match=message):
+            t.lookup(x, y)
+    assert len(t) == 2
 
 
 def test_coordinates_past_the_bucket_range_rejected():
     # finite, but their bucket index overflows an int at the default tolerance
     t = ComplexTable()
-    for re, im in [(1e302, 0.0), (0.0, -1e302)]:
-        with pytest.raises(NumericDomainError):
-            t.lookup(re, im)
-    with pytest.raises(NumericDomainError):
+    for x, y in [(1e302, 0.0), (0.0, -1e302)]:
+        message = re.escape(f"amplitude ({x}, {y}) out of range")
+        with pytest.raises(NumericDomainError, match=message):
+            t.lookup(x, y)
+    with pytest.raises(NumericDomainError, match=r"^amplitude \(1\.7e\+308, 0\.0\) out of range$"):
         DDPackage().terminal_edge(1.7e308)
     big = t.lookup(1e300, 0.0)
     assert (big.re, big.im) == (1e300, 0.0) and len(t) == 3
@@ -122,20 +135,46 @@ def test_all_stored_components_finite(re, im):
 _TOLS = (1e-10, 1e-6, 5e-4)
 
 
+@lru_cache
+def _aliasing_ims(tol: float, step: int) -> tuple[float, float]:
+    """Imaginary parts hi, lo with bucket indices j and j - _STRIDE, so that
+    buckets (i, j) and (i + 1, j - _STRIDE) share one packed id: hi is the
+    `step`-th float above _STRIDE + 3 bucket widths (about 440 at tol
+    1e-10), lo the middle of bucket j - _STRIDE (bucket 2 or 3)."""
+    width = _BUCKET_TOLS * tol
+    hi = (_STRIDE + 3) * width
+    for _ in range(step):
+        hi = math.nextafter(hi, math.inf)
+    j = math.floor(hi / width)
+    lo = (j - _STRIDE + 0.5) * width
+    assert math.floor(lo / width) == j - _STRIDE > 0
+    return hi, lo
+
+
 @st.composite
 def _lookup_runs(draw):
     """(tol, queries): clusters of queries around a few centres, offset in
-    quarters of tol up to 3 tol, with centres on bucket edges, at +-0.0 and
-    anywhere in [-2, 2]."""
+    quarters of tol up to 3 tol. Centres lie on bucket edges, at +-0.0 and
+    +-1, anywhere in [-2, 2], near +-1e308 * tol (so near 1e300 at tol 1e-6,
+    about as large as the reference's float bucket index allows), or come as
+    a pair in buckets (i, j) and (i + 1, j - _STRIDE), whose packed ids
+    alias."""
     tol = draw(st.sampled_from(_TOLS))
     width = _BUCKET_TOLS * tol
+    edge = st.integers(-3, 3).map(lambda m: m * width)
+    huge = st.tuples(st.sampled_from([1.0, -1.0]), st.floats(1e307, 1e308))
     coordinate = st.one_of(
-        st.integers(-3, 3).map(lambda m: m * width),
+        edge,
         st.integers(int(-2 / width), int(2 / width)).map(lambda m: m * width),
         st.sampled_from([0.0, -0.0, 1.0, -1.0]),
         st.floats(-2.0, 2.0),
+        huge.map(lambda p: p[0] * p[1] * tol),
     )
     centres = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        x = draw(st.one_of(edge, edge.map(lambda c: c + width / 2)))
+        hi, lo = _aliasing_ims(tol, draw(st.integers(0, 8)))
+        centres += [(x, hi), (x + width, lo)]
     quarters = st.integers(-12, 12)
     picks = draw(
         st.lists(
@@ -146,8 +185,8 @@ def _lookup_runs(draw):
     )
     queries = []
     for i, a, b in picks:
-        re, im = centres[i]
-        queries.append((re + a * tol / 4 if a else re, im + b * tol / 4 if b else im))
+        x, y = centres[i]
+        queries.append((x + a * tol / 4 if a else x, y + b * tol / 4 if b else y))
     return tol, queries
 
 
@@ -155,17 +194,70 @@ def _bits(v):
     return v.seq, v.re.hex(), v.im.hex()
 
 
+_W = _BUCKET_TOLS * 1e-10  # the bucket width at tol 1e-10
+
+
 @settings(max_examples=300, deadline=None)
 @given(run=_lookup_runs())
 # A near hit is not an exact hit: the third query stores a value closer to
 # (0.3, 0.1) than the first one, so it must answer the fourth.
 @example(run=(1e-10, [(0.3 + 0.8e-10, 0.1), (0.3, 0.1), (0.3 - 0.5e-10, 0.1), (0.3, 0.1)]))
+# A query exactly on a bucket edge, repeated, then near it from both sides.
+@example(
+    run=(
+        1e-10,
+        [(3 * _W, -2 * _W)] * 3
+        + [(3 * _W - 0.25e-10, -2 * _W), (3 * _W, -2 * _W + 0.5e-10), (3 * _W, -2 * _W)],
+    )
+)
+# Within tol of a value across a corner: only the diagonal bucket holds it.
+@example(
+    run=(1e-10, [(3 * _W + 0.25e-10, -2 * _W + 0.25e-10), (3 * _W - 0.25e-10, -2 * _W - 0.25e-10)])
+)
+# (x + tol) / w is exactly 1 for the second query, which lies in bucket 0
+# and within tol of the value on bucket 1's edge.
+@example(run=(1e-10, [(_W, 0.5), (1.0230000000000001e-07, 0.5)]))
+# -0.0 and 0.0 coordinates name the same point and the same bucket.
+@example(
+    run=(1e-10, [(-0.0, 0.3), (0.0, 0.3), (0.3, -0.0), (0.3, 0.0), (-0.0, -0.5e-10), (-0.0, 0.3)])
+)
 def test_lookup_matches_nine_bucket_scan(run):
     tol, queries = run
     table, ref = ComplexTable(tol), dense_ref.ComplexTable(tol)
-    for re, im in queries:
-        assert _bits(table.lookup(re, im)) == _bits(ref.lookup(re, im)), (re, im)
+    for x, y in queries:
+        assert _bits(table.lookup(x, y)) == _bits(ref.lookup(x, y)), (x, y)
     assert len(table) == len(ref)
+
+
+@pytest.mark.parametrize("tol", _TOLS)
+def test_aliased_buckets_share_one_chain(tol):
+    width = _BUCKET_TOLS * tol
+    hi, lo = _aliasing_ims(tol, 0)
+    queries = [(width / 2, hi), (width * 1.5, lo), (width - tol / 4, lo), (width / 2, hi)]
+    table, ref = ComplexTable(tol), dense_ref.ComplexTable(tol)
+    got = [table.lookup(x, y) for x, y in queries]
+    for v, (x, y) in zip(got, queries):
+        assert _bits(v) == _bits(ref.lookup(x, y)), (x, y)
+    # 0, 1 and one value per query bucket; the two aliased values in one chain
+    assert len(table) == len(ref) == 5
+    assert len(table._buckets) == 4
+    assert got[1].older is got[0]
+
+
+def test_real_values_hash_apart():
+    """Real values all sit in bucket column j = 0, so their packed ids differ
+    only by multiples of the stride; they must still hash apart, or every
+    real value would share one collision chain of the dict."""
+    rng = np.random.default_rng(5)
+    vec = rng.standard_normal(1 << 12)
+    pkg = DDPackage()
+    pkg.from_vector(vec / np.linalg.norm(vec))
+    t = ComplexTable()
+    for x in rng.uniform(-2.0, 2.0, 2000).tolist():
+        t.lookup(x, 0.0)
+    for buckets in (pkg.table._buckets, t._buckets):
+        assert len(buckets) > 2000
+        assert len({hash(k) for k in buckets}) == len(buckets)
 
 
 def test_simulation_table_contents_pinned(monkeypatch):
@@ -189,3 +281,21 @@ def test_simulation_table_contents_pinned(monkeypatch):
         -0.15051513110281287,
         0.04194088045152552,
     )
+
+
+def test_live_bytes_per_stored_value():
+    """Memory guard: what a simulation leaves allocated once the unique table
+    is collected, per stored value (the value table dominates). CPython 3.11
+    measured 256 B per value here, and 445 B with a second, exact
+    (re, im) index next to the buckets; the bound leaves margin for other
+    versions."""
+    tracemalloc.start()
+    try:
+        pkg = DDPackage()
+        state = simulate(random_circuit(10, 30, 3), pkg)
+        pkg.collect_garbage([state.root])
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(pkg.table) == 11069
+    assert live / len(pkg.table) < 320
