@@ -11,12 +11,16 @@ Three per-node numbers drive the approximation schemes:
   to 1, because every nonzero path crosses each level exactly once.
 
 All passes run over the state's cached level-array view (`StateDD.view`),
-one numpy step per level, so they need no recursion. The view computes the
-upstream once, bottom-up (`LevelView.up`), and every pass reads it; the
-downstream is pushed top-down from the root. Every float comes from the same
-operations in the same order as in a node-by-node pass, so the results
-match such a pass bit for bit. Path sampling keeps its visit counts on the
-state as well (`StateDD._walks`), so a sweep walks each path once.
+one numpy step per level, so they need no recursion. The upstream is the
+mass each node keeps (`Node.mass`), gathered once into `LevelView.up`, and
+every pass reads it; the downstream is pushed top-down from the root. Every
+float comes from the same operations in the same order as in a node-by-node
+pass, so the results match such a pass bit for bit.
+
+Path sampling keeps its visit counts on the state as well (`StateDD._walks`),
+so a sweep walks each path once. On its first call it also keeps, per node,
+where a walk lands after the chain of forced branches below it
+(`StateDD._chains`), so a walk moves only between nodes that take a draw.
 """
 
 from __future__ import annotations
@@ -112,7 +116,9 @@ def sample_paths(dd: StateDD, traversals: int, seed: int) -> VisitCounts:
     falls below p1 = |w1|^2 * up(succ1) / up(node); zero-stub branches have
     probability exactly 0 and are never taken. Walk i draws from its own
     substream, `SplitMix64(derive_seed(seed, i))`, its k-th draw at the k-th
-    node it visits, so adding walks never perturbs earlier ones.
+    node it visits, so adding walks never perturbs earlier ones. Where a
+    branch is forced no draw is taken and the walk skips the whole forced
+    chain at once; the counts are those of walking every node.
 
     The counts are kept on the state, one entry per seed modulo 2**64
     holding the last walk count asked for. A call for at least that many
@@ -134,54 +140,82 @@ def _visit_counts(dd: StateDD, traversals: int, seed: int) -> np.ndarray:
     if counts is None or traversals < done:
         done, counts = 0, np.zeros(len(dd.view.nodes), dtype=np.int64)
     if traversals > done:
-        counts = counts + _walk(dd.view, key, done, traversals)
+        counts = counts + _walk(dd, key, done, traversals)
         counts.flags.writeable = False
         dd._walks[key] = (traversals, counts)
     return counts
 
 
-def _walk(view: LevelView, seed: int, start: int, stop: int) -> np.ndarray:
-    """Visit count per node index over walks start..stop-1.
+def _chains(view: LevelView) -> tuple:
+    """(thr, jump, steps, push): how walks cross the view, per node index.
 
-    Walks advance in lockstep, one node per step, in blocks of `_WALK_BLOCK`
-    walks. A draw is compared in draw units: u < p1 exactly when
+    ``thr[i]`` is node i's 1-side probability in draw units,
+    ``p1 * 2**53``. A draw is compared in those units: u < p1 exactly when
     `(x >> 11) < p1 * 2**53`, since the product is exact. Only nodes with
-    0 < p1 * 2**53 <= 2**53 - 1 need a draw; the others go to their forced
+    0 < p1 * 2**53 <= 2**53 - 1 take a draw; the others go to a forced
     successor (`succ1` above that range, `succ0` at or below 0 or for a
-    NaN), and a step at such nodes costs one gather. A step whose walks all
-    sit in a span of nodes that all draw skips that gather, so dense states
-    pay nothing for the forced branches.
+    NaN). ``jump[i]`` is the first node that takes a draw, or the terminal,
+    reached from node i through forced successors (i itself when it draws),
+    and ``steps[i]`` is one plus the number of forced steps to get there, as
+    uint64. ``push`` lists, top level first, the forced nodes of each level
+    that has any and their forced successors.
     """
     m = len(view.nodes)
-    counts = np.zeros(m, dtype=np.int64)
-    if not m:
-        return counts
     up = view.up
     thr = view.mag1 * up[view.succ1] / up[:-1] * 2.0**53
-    draw = (thr > 0.0) & (thr <= _DRAW_MAX)
-    # the forced successor of each node, -1 where the branch takes a draw
-    step = np.where(draw, -1, np.where(thr > _DRAW_MAX, view.succ1, view.succ0))
-    for first in range(start, stop, _WALK_BLOCK):
-        states = derive_seeds(seed, first, min(first + _WALK_BLOCK, stop))
-        at = np.zeros(states.size, dtype=np.intp)  # every walk starts at the root
-        k = 0
-        while at.size:
-            k += 1
-            lo, hi = int(at.min()), int(at.max()) + 1
-            counts[lo:hi] += np.bincount(at - lo, minlength=hi - lo)
-            if draw[lo:hi].all():  # every live walk draws
-                take1 = draw_array(states, k) < thr[at]
-                at = np.where(take1, view.succ1[at], view.succ0[at])
-            else:
-                nxt = step[at]
-                drawn = nxt < 0
-                if drawn.any():
-                    i = np.flatnonzero(drawn)
-                    a = at[i]
-                    take1 = draw_array(states[i], k) < thr[a]
-                    nxt[i] = np.where(take1, view.succ1[a], view.succ0[a])
-                at = nxt
-            live = at < m
-            if not live.all():
-                at, states = at[live], states[live]
-    return counts
+    forced = ~((thr > 0.0) & (thr <= _DRAW_MAX))
+    forced_succ = np.where(thr > _DRAW_MAX, view.succ1, view.succ0)
+    push = []
+    for _, start, stop in view.levels:
+        i = np.flatnonzero(forced[start:stop]) + start
+        if i.size:
+            push.append((i, forced_succ[i]))
+    jump = np.arange(m + 1)
+    steps = np.ones(m + 1, dtype=np.uint64)
+    for i, f in reversed(push):  # bottom-up: a successor's chain is done first
+        jump[i] = jump[f]
+        steps[i] = steps[f] + np.uint64(1)
+    return thr, jump, steps, push
+
+
+def _walk(dd: StateDD, seed: int, start: int, stop: int) -> np.ndarray:
+    """Visit count per view node index over walks start..stop-1.
+
+    Walks advance together in blocks of `_WALK_BLOCK` walks, and each one
+    sits only on nodes that take a draw (`_chains`). A walk carries its own
+    step index `k`: at a draw node i it takes its k-th draw, which picks
+    edge e = 2i (0-side) or 2i + 1 (1-side), moves on to the `jump` of that
+    edge's target and adds the target's `steps` to `k`. So a walk over a
+    forced chain skips the chain in one move and draws exactly what a
+    node-by-node walk draws. Edges taken are counted with `bincount`; each
+    edge's count enters its target, and then the counts of forced nodes
+    are pushed down to their forced successors one level at a time, which
+    gives every node the number of walks through it.
+    """
+    view = dd.view
+    m = len(view.nodes)
+    counts = np.zeros(m + 1, dtype=np.int64)  # the sentinel counts the terminal
+    if m:
+        thr, jump, steps, push = dd._chains
+        succ = np.stack((view.succ0, view.succ1), axis=1).ravel()  # edge 2i + b
+        edge_jump, edge_steps = jump[succ], steps[succ]
+        taken = np.zeros(2 * m, dtype=np.int64)
+        for first in range(start, stop, _WALK_BLOCK):
+            states = derive_seeds(seed, first, min(first + _WALK_BLOCK, stop))
+            counts[0] += states.size  # every walk enters the root
+            at = np.full(states.size, jump[0])
+            k = np.full(states.size, steps[0], dtype=np.uint64)
+            while at.size:
+                live = at < m
+                if not live.all():
+                    at, states, k = at[live], states[live], k[live]
+                    continue
+                e = 2 * at + (draw_array(states, k) < thr[at])
+                lo, hi = int(e.min()), int(e.max()) + 1
+                taken[lo:hi] += np.bincount(e - lo, minlength=hi - lo)
+                k += edge_steps[e]
+                at = edge_jump[e]
+        np.add.at(counts, succ, taken)
+        for i, f in push:
+            np.add.at(counts, f, counts[i])
+    return counts[:-1]

@@ -8,9 +8,9 @@ the original state equals the kept probability mass.
 Re-reducing keeps a node as it is when neither it nor any node below it is
 doomed and all of them are fixed points of `make_node` (`LevelView.fixed`);
 every other node is rebuilt, which gives the same nodes and tables, bit
-for bit, as rebuilding every node. A trial's size and norm are read from
-the state's view too, so a trial costs time in proportion to what it
-rebuilds.
+for bit, as rebuilding every node. A trial's norm is read off its rebuilt
+root (`Node.mass`) and its size from the state's view, so a trial costs
+time in proportion to what it rebuilds.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, Union, get_args
 import numpy as np
 
 from .analysis import _contributions, sample_paths
-from .dd import Node, StateDD, _gc_paused, _mass, _rescaled, rebuild
+from .dd import LevelView, Node, StateDD, _gc_paused, _mass, _rescaled, rebuild
 from .errors import ZeroStateError
 from .fidelity import fidelity as state_fidelity
 
@@ -193,9 +193,9 @@ def eliminate(dd: StateDD, doomed: Iterable[Node]) -> StateDD:
     A node is rebuilt through `make_node` when it or a node below it is
     doomed or not a fixed point of `make_node` (see `LevelView.fixed`); every
     other node would come back as itself with weight one and no table write,
-    so its edge is kept as it is. The norm is read from `dd.view` for every
-    node the result shares with `dd`, so the call costs time in proportion
-    to what it rebuilds. Doomed nodes not reachable from `dd` are ignored.
+    so its edge is kept as it is. The norm is read off the rebuilt root, so
+    the call costs time in proportion to what it rebuilds. Doomed nodes not
+    reachable from `dd` are ignored.
     `dd` must not be a state whose nodes `collect_garbage` dropped: kept
     nodes would then be ones the unique table no longer holds. Raises
     ZeroStateError when no probability mass remains.
@@ -207,14 +207,9 @@ def _eliminate(dd: StateDD, doomed: Iterable[Node]) -> tuple[StateDD, int, float
     """`eliminate`, plus the result's size and the path mass it divided out.
 
     One bottom-up pass over the view marks the nodes to keep:
-    ``keep = fixed & ~doomed & keep[succ0] & keep[succ1]``. The mass walk
-    `dd._mass` visits only the result nodes outside `dd.view` and reads a
-    view node's mass from `view.up`, which all trials on `dd` share: the
-    same products and sums in the same order as `StateDD.norm` takes, so
-    the rescaled root is the one `renormalize` gives, bit for bit. The view
-    nodes the walk steps onto are spread down the view one level at a time
-    and counted; a node that `make_node` gave back from the view is counted
-    there, once.
+    ``keep = fixed & ~doomed & keep[succ0] & keep[succ1]``. The mass is read
+    off the rebuilt root (`Node.mass`), so the rescaled root is the one
+    `renormalize` gives. The size comes from `_result_size`.
     """
     pkg = dd.package
     view = dd.view
@@ -234,11 +229,32 @@ def _eliminate(dd: StateDD, doomed: Iterable[Node]) -> tuple[StateDD, int, float
     root = rebuild(pkg, dd.root, replace, {})
     if root.weight is pkg.table.zero:
         raise ZeroStateError("elimination removed all probability mass")
+    total = _mass(root)
+    return _rescaled(dd.n, root, pkg, total), _result_size(root.target, view), total
 
+
+def _result_size(top, view: LevelView) -> int:
+    """Distinct nonterminal nodes below `top`, counted in time proportional
+    to the nodes outside `view`.
+
+    A walk with an explicit stack collects the nodes outside the view and
+    stops at every view node (and the terminal) it steps onto. Those view
+    nodes are spread down the view one level at a time and counted; a node
+    that `make_node` gave back from the view is counted there, once.
+    """
+    index = view.index
+    outside: set[Node] = set()
     reached: list[int] = []  # view indices stepped onto; the terminal is one
-    rebuilt: dict[Node, float] = {}  # result nodes outside the view -> mass below
-    total = float(_mass(root, view.index, view.up, reached, rebuilt))
-    out = _rescaled(dd.n, root, pkg, total)
+    stack = [top]
+    while stack:
+        v = stack.pop()
+        i = index.get(v)
+        if i is not None:
+            reached.append(i)
+        elif v not in outside:
+            outside.add(v)
+            stack.append(v.succ1.target)
+            stack.append(v.succ0.target)
     seen = np.zeros(len(view.nodes) + 1, dtype=bool)
     seen[reached] = True
     for _, start, stop in view.levels:
@@ -246,7 +262,7 @@ def _eliminate(dd: StateDD, doomed: Iterable[Node]) -> tuple[StateDD, int, float
         hit = seen[s]
         seen[view.succ0[s][hit]] = True
         seen[view.succ1[s][hit]] = True
-    return out, len(rebuilt) + int(np.count_nonzero(seen[:-1])), total
+    return len(outside) + int(np.count_nonzero(seen[:-1]))
 
 
 @_gc_paused

@@ -21,10 +21,17 @@ magnitude at most 1. A ``DDPackage`` owns one value table plus one unique
 table; nodes are immutable and interned, and distinct packages are fully
 independent.
 
+Each node keeps its upstream mass (``Node.mass``), the summed probability
+of every path below it, computed once from its successors' masses when it
+is built. A state's norm is then read off its root edge without a walk,
+which makes the per-gate norm check of ``simulate`` constant-time and
+recursion-free.
+
 A package and its states are a single-threaded unit; no query is safe to run
 concurrently with another. The first analysis call on a state writes its
 level-array view (``StateDD.view``) to the state, every path-sampling call
-writes its visit counts to the state's walk cache, and ``amplitude``,
+writes its visit counts, and the first one its forced-chain arrays, to the
+state's walk cache, and ``amplitude``,
 ``inner_product`` and ``renormalize`` insert values into the package's value
 table.
 
@@ -76,6 +83,7 @@ class _Terminal:
     """The single shared leaf below the last qubit level."""
 
     __slots__ = ()
+    mass = 1.0
 
     def __repr__(self) -> str:
         return "<terminal>"
@@ -85,15 +93,24 @@ TERMINAL = _Terminal()
 
 
 class Node:
-    """Inner node: a qubit level plus two successor edges. Interned, immutable."""
+    """Inner node: a qubit level plus two successor edges. Interned, immutable.
 
-    __slots__ = ("level", "succ0", "succ1", "uid")
+    ``mass`` is the node's upstream mass: the summed probability of every
+    path from it down to the terminal, without the weight on the edge into
+    it. It is set once, here, as |w0|^2 * mass(t0) + |w1|^2 * mass(t1), where
+    the terminal's mass is 1.0 and a zero-stub adds 0.0.
+    """
+
+    __slots__ = ("level", "succ0", "succ1", "uid", "mass")
 
     def __init__(self, level: int, succ0: "Edge", succ1: "Edge", uid: int):
         self.level = level
         self.succ0 = succ0
         self.succ1 = succ1
         self.uid = uid  # creation order within the package; deterministic
+        self.mass = sqr_mag(succ0.weight) * succ0.target.mass + sqr_mag(
+            succ1.weight
+        ) * succ1.target.mass
 
     def __repr__(self) -> str:
         return f"<node q{self.level} #{self.uid}>"
@@ -319,10 +336,9 @@ class LevelView:
     Successors always sit on a deeper level, so passes over the diagram can
     go one whole level at a time, bottom-up or top-down.
 
-    ``up[i]`` is node ``i``'s upstream mass: the summed probability of
-    every path from it down to the terminal, without the weight on the edge
-    into it. It is computed once, bottom-up one level at a time, for every
-    pass over the view to read; the sentinel entry is 1.
+    ``up[i]`` is node ``i``'s upstream mass, ``nodes[i].mass``, gathered
+    once for every pass over the view to read; the sentinel entry is the
+    terminal's 1.0.
 
     ``fixed[i]`` is True when node ``i`` is a fixed point of ``make_node``:
     calling it on the node's own successors returns ``Edge(node, table.one)``
@@ -354,11 +370,7 @@ class LevelView:
         self.levels = tuple(
             (lv[a], a, b) for a, b in zip([0, *cuts], [*cuts, m]) if a < b
         )
-        up = np.empty(m + 1)
-        up[-1] = 1.0
-        for _, start, stop in reversed(self.levels):
-            s = slice(start, stop)
-            up[s] = self.mag0[s] * up[self.succ0[s]] + self.mag1[s] * up[self.succ1[s]]
+        up = np.fromiter(map(attrgetter("mass"), [*nodes, TERMINAL]), np.float64, m + 1)
         up.flags.writeable = False
         self.up = up
         fixed = np.append((one0 & (self.mag1 <= 1.0)) | (one1 & (self.mag0 < 1.0)), True)
@@ -385,29 +397,9 @@ def _edge_arrays(nodes: list[Node], slot: str, index: dict, table: ComplexTable)
     return succ, mag, is_one, is_zero
 
 
-def _mass(e: Edge, index: dict, up: Sequence[float], reached: list[int], memo: dict) -> float:
-    """Sum over all paths below `e` of the squared weight products.
-
-    `up[index[v]]` stands in for the mass below each node `v` in `index`,
-    which must hold the terminal; the walk appends those indices to
-    `reached` and memoizes every other node in `memo`. `StateDD.norm`
-    knows only the terminal. `approx._eliminate` passes `LevelView.up`,
-    which sums the same products in the same order.
-    """
-    w2 = sqr_mag(e.weight)
-    if w2 == 0.0:
-        return 0.0
-    v = e.target
-    i = index.get(v)
-    if i is not None:
-        reached.append(i)
-        return w2 * up[i]
-    s = memo.get(v)
-    if s is None:
-        s = _mass(v.succ0, index, up, reached, memo)
-        s += _mass(v.succ1, index, up, reached, memo)
-        memo[v] = s
-    return w2 * s
+def _mass(e: Edge) -> float:
+    """Sum over all paths below `e` of the squared weight products."""
+    return sqr_mag(e.weight) * e.target.mass
 
 
 def _rescaled(n: int, root: Edge, pkg: DDPackage, mass: float) -> "StateDD":
@@ -464,8 +456,18 @@ class StateDD:
         read-only int64 visit count per view node index)."""
         return {}
 
+    @cached_property
+    def _chains(self) -> tuple:
+        """`sample_paths`' forced-chain arrays over the view
+        (`analysis._chains`), built on the first sampling call and kept."""
+        from .analysis import _chains  # analysis imports this module
+
+        return _chains(self.view)
+
     def norm(self) -> float:
-        return math.sqrt(_mass(self.root, {TERMINAL: 0}, (1.0,), [], {}))
+        """Square root of the root's path mass: |root weight|^2 times the
+        mass kept on the root node. It walks nothing."""
+        return math.sqrt(_mass(self.root))
 
     def amplitude(self, basis: str) -> ComplexValue:
         """Product of edge weights along the path selected by `basis`.
@@ -501,8 +503,7 @@ class StateDD:
 
     def renormalize(self) -> "StateDD":
         """Same state with the root weight divided by the current norm."""
-        mass = _mass(self.root, {TERMINAL: 0}, (1.0,), [], {})
-        return _rescaled(self.n, self.root, self.package, mass)
+        return _rescaled(self.n, self.root, self.package, _mass(self.root))
 
     def to_dot(self) -> str:
         """Graphviz rendering: circles per node, '0' leaves for zero-stubs."""

@@ -12,8 +12,11 @@ def inner_product(a: StateDD, b: StateDD) -> ComplexValue:
 
     Sub-results are memoized on node pairs with the edge weights factored
     out, so each pair of nodes is expanded at most once and the work is
-    bounded by size(a) * size(b) pairs. The result is canonicalized in
-    `a`'s package.
+    bounded by size(a) * size(b) pairs. A node paired with itself is not
+    expanded: its self-overlap is its mass (`Node.mass`), the same float the
+    expansion would sum, so states that share nodes, such as an
+    approximation and its input, stop at the first shared node. The result
+    is canonicalized in `a`'s package.
     """
     v, _ = _inner_product(a, b)
     return a.package.table.lookup(v.real, v.imag)
@@ -45,6 +48,10 @@ def _ip(ea: Edge, eb: Edge, memo: dict[tuple, complex]) -> complex:
     ta, tb = ea.target, eb.target
     if ta is TERMINAL:  # lockstep levels: tb is terminal here too
         return factor
+    if ta is tb:
+        # expanding the pair would sum the products of `ta.mass` in the same
+        # order, with every imaginary part exactly 0.0
+        return factor * complex(ta.mass, 0.0)
     key = (ta, tb)
     h = memo.get(key)
     if h is None:

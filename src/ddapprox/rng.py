@@ -60,14 +60,15 @@ def derive_seeds(seed: int, start: int, stop: int) -> np.ndarray:
     return scramble_array(np.uint64(seed & _MASK64) + steps)
 
 
-def draw_array(states: np.ndarray, k: int) -> np.ndarray:
+def draw_array(states: np.ndarray, k: int | np.ndarray) -> np.ndarray:
     """The k-th draw (k >= 1) of many streams at once, as 53-bit integers.
 
     `states` holds one splitmix64 state per stream (seeded like
-    `SplitMix64(s)` with `s` from `derive_seeds`) and is left as it is.
-    Entry i is `scramble(states[i] + k·γ) >> 11`; times 2**-53 it is the
-    k-th `SplitMix64(states[i]).random()`. Every operand is a uint64 array
-    or scalar, so the arithmetic wraps and is never promoted.
+    `SplitMix64(s)` with `s` from `derive_seeds`) and is left as it is. `k`
+    is one int for every stream, or a uint64 array with one step index per
+    stream. Entry i is `scramble(states[i] + k_i·γ) >> 11`; times 2**-53 it
+    is the k_i-th `SplitMix64(states[i]).random()`. Every operand is a
+    uint64 array or scalar, so the arithmetic wraps and is never promoted.
     """
-    step = np.uint64((k * _GOLDEN) & _MASK64)
+    step = np.asarray(k, dtype=np.uint64) * np.uint64(_GOLDEN)
     return scramble_array(states + step) >> np.uint64(11)

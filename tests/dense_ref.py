@@ -13,7 +13,10 @@ float with the same operations in the same order, so results compare with
 `==`. `budget_prefix_ref` is the target-fidelity selection as a sorted
 running sum. `eliminate_ref` is elimination without the kept-subdiagram
 shortcut: it re-reduces every reachable node through `make_node`, and its
-norm walks the whole result with `upstream_ref`, not the package's mass walk.
+norm walks the whole result with `upstream_ref`, not the masses kept on the
+nodes. `inner_product_ref` is the pairwise overlap recursion expanded down to
+the terminal, without the shortcut the package takes where both sides reach
+one shared node.
 
 `ComplexTable` is the value table as a scan of the nine ``tol``-wide
 buckets around each query, with one list per bucket: the straightforward
@@ -267,6 +270,29 @@ def eliminate_ref(dd, doomed):
         raise ZeroStateError("cannot normalize a zero state")
     w = pkg.table.div_real(root.weight, math.sqrt(mass))
     return StateDD(dd.n, Edge(root.target, w), pkg)
+
+
+def inner_product_ref(a, b):
+    """<a|b> as a Python complex: the pairwise recursion `_ip` below,
+    memoized on node pairs, that expands every pair down to the terminal."""
+    return _ip(a.root, b.root, {})
+
+
+def _ip(ea: Edge, eb: Edge, memo: dict[tuple, complex]) -> complex:
+    wa, wb = ea.weight, eb.weight
+    # the canonical zero is the only stored value with both components 0.0
+    if (wa.re == 0.0 and wa.im == 0.0) or (wb.re == 0.0 and wb.im == 0.0):
+        return 0j
+    factor = complex(wa.re, -wa.im) * complex(wb.re, wb.im)
+    ta, tb = ea.target, eb.target
+    if ta is TERMINAL:  # lockstep levels: tb is terminal here too
+        return factor
+    key = (ta, tb)
+    h = memo.get(key)
+    if h is None:
+        h = _ip(ta.succ0, tb.succ0, memo) + _ip(ta.succ1, tb.succ1, memo)
+        memo[key] = h
+    return factor * h
 
 
 # -- nine-bucket value table reference ---------------------------------------

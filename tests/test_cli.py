@@ -214,10 +214,12 @@ def test_exit_code_usage_errors(capsys):
     assert code == 2
 
 
-def test_exit_code_recursion_too_deep(capsys):
-    # simulate's first per-gate norm check recurses once per level
+def test_exit_code_recursion_too_deep(capsys, tmp_path):
+    # the gate kernel recurses once per level down to the gate's qubit
+    circuit = tmp_path / "deep.qc"
+    circuit.write_text("qubits 1500\nx 1499\n", encoding="utf-8")
     code, out, err = run_cli(
-        capsys, "run", "--builtin", "ghz", "1500", "--scheme", "sampling", "--traversals", "10"
+        capsys, "run", "--circuit", str(circuit), "--scheme", "sampling", "--traversals", "10"
     )
     assert code == 2
     assert out == ""

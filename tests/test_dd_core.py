@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddapprox import (
+    Circuit,
     DDPackage,
     DDError,
+    Gate,
     NumericDomainError,
     PerLevelFidelity,
     Sampling,
@@ -290,8 +292,18 @@ def norm_states(draw):
 @given(dd=norm_states())
 def test_norm_equals_node_by_node_upstream(dd):
     root = dd.root
-    want = math.sqrt(dense_ref._mag2(root.weight) * dense_ref.upstream_ref(dd)[root.target])
-    assert dd.norm() == want
+    up = dense_ref.upstream_ref(dd)
+    assert all(v.mass == up[v] for v in reachable_nodes(dd))
+    assert dd.norm() == math.sqrt(dense_ref._mag2(root.weight) * up[root.target])
+
+
+def test_norm_is_recursion_free_at_3000_qubits():
+    z = DDPackage().zero_state(3000)
+    assert z.norm() == 1.0
+    again = z.renormalize()
+    assert again.root.target is z.root.target
+    assert again.root.weight is z.root.weight
+    assert fidelity(z, z) == 1.0
 
 
 def test_to_vector_cap(pkg):
@@ -390,8 +402,8 @@ def test_collector_restored_after_errors(pkg, demo_state, collector):
     with pytest.raises(ZeroStateError):
         eliminate(demo_state, reachable_nodes(demo_state))
     assert gc.isenabled()
-    with pytest.raises(RecursionError):  # the first per-gate norm check
-        simulate(ghz(1500), pkg)
+    with pytest.raises(RecursionError):  # the gate kernel recurses once per level
+        simulate(Circuit(1500, (Gate("x", (1499,)),)), pkg)
     assert gc.isenabled()
     with pytest.raises(ValueError):
         pkg.from_vector([1.0, 0.0, 0.0])

@@ -2,8 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ddapprox import DDPackage, fidelity, inner_product, simulate, random_circuit
+from ddapprox import (
+    DDPackage,
+    PerLevelFidelity,
+    Sampling,
+    TargetFidelity,
+    apply_scheme,
+    fidelity,
+    inner_product,
+    random_circuit,
+    simulate,
+)
 from ddapprox.fidelity import _inner_product
 from conftest import DEMO_VECTOR, DEMO_APPROX_VECTOR
 
@@ -100,3 +112,41 @@ def test_clamped_to_unit_interval(pkg):
     dd = simulate(random_circuit(4, 10, 1), pkg)
     f = fidelity(dd, dd)
     assert 0.0 <= f <= 1.0
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["circuit", "dense", "sparse"]),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    scheme=st.one_of(
+        st.builds(TargetFidelity, st.sampled_from((0.5, 0.9, 0.99))),
+        st.builds(PerLevelFidelity, st.sampled_from((0.5, 0.9, 0.99))),
+        st.builds(Sampling, st.integers(1, 40), st.integers(0, 9)),
+    ),
+)
+def test_overlaps_with_approximations_equal_the_full_recursion(kind, n, seed, scheme):
+    """An approximation shares nodes with its input, and the overlap stops
+    at a shared node with that node's mass: the results equal, bit for bit,
+    the recursion that expands every pair down to the terminal."""
+    pkg = DDPackage()
+    rng = np.random.default_rng(seed)
+    if kind == "circuit":
+        dd = simulate(random_circuit(n, 1 + seed % (3 * n), seed), pkg)
+    else:
+        vec = dense_ref.random_state(rng, n)
+        if kind == "sparse":
+            vec[rng.random(1 << n) < 0.5] = 0.0
+            vec[rng.integers(1 << n)] = 1.0
+        dd = pkg.from_vector(vec / np.linalg.norm(vec))
+    out, _ = apply_scheme(dd, scheme)
+    for a, b in ((dd, out), (out, dd), (dd, dd), (out, out)):
+        want = dense_ref.inner_product_ref(a, b)
+        assert _bits(_inner_product(a, b)[0]) == _bits(want)
+        f = want.real * want.real + want.imag * want.imag
+        assert fidelity(a, b) == (f if f < 1.0 else 1.0)
+        assert inner_product(a, b) is pkg.table.lookup(want.real, want.imag)

@@ -122,8 +122,14 @@ def test_array_scramble_matches_scalar(z):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=SEEDS, start=st.integers(0, 2**20), count=st.integers(1, 30), draws=st.integers(1, 5))
-def test_array_streams_match_scalar_streams(seed, start, count, draws):
+@given(
+    seed=SEEDS,
+    start=st.integers(0, 2**20),
+    count=st.integers(1, 30),
+    draws=st.integers(1, 5),
+    ks=st.lists(st.integers(1, 200), min_size=30, max_size=30),
+)
+def test_array_streams_match_scalar_streams(seed, start, count, draws, ks):
     indices = range(start, start + count)
     states = derive_seeds(seed, start, start + count)
     assert states.tolist() == [derive_seed(seed, i) for i in indices]
@@ -131,6 +137,15 @@ def test_array_streams_match_scalar_streams(seed, start, count, draws):
     for k in range(1, draws + 1):
         got = draw_array(states, k).astype(np.float64) * 2.0**-53
         assert got.tolist() == [s.random() for s in scalar]
+    # one step index per stream, as the walk kernel passes it
+    k = np.array(ks[:count], dtype=np.uint64)
+    got = draw_array(states, k)
+    assert got.dtype == np.uint64 and k.tolist() == ks[:count]
+    for i, (x, s) in enumerate(zip(got.tolist(), indices)):
+        stream = SplitMix64(derive_seed(seed, s))
+        for _ in range(ks[i]):
+            want = stream.random()
+        assert x * 2.0**-53 == want
     assert states.tolist() == [derive_seed(seed, i) for i in indices]
 
 
@@ -183,6 +198,45 @@ def forked_diagram(root_weights=None, tiny=1e-9):
     return StateDD(2, Edge(root, pkg.table.one), pkg)
 
 
+def forced_skipping_diagram(rng):
+    """A diagram whose forced chains skip levels. The root draws between
+    `a`, which is forced onto `c` over the empty level 2, and `b`, which
+    draws between `c` and the terminal; so `c` is entered both straight from
+    a draw and at the end of a chain."""
+    pkg = DDPackage()
+
+    def leaf():
+        return pkg.terminal_edge(*rng.standard_normal(2))
+
+    c = pkg.make_node(3, leaf(), leaf())
+    b = pkg.make_node(2, c, leaf())
+    a = pkg.make_node(1, pkg.zero_stub, c)
+    return StateDD(4, pkg.make_node(0, a, b), pkg)
+
+
+def deep_draw_state():
+    """|1>|0>|1>|1> times a 2-qubit state: the root and the next three
+    levels are forced, to the 1-side and the 0-side, so every walk jumps
+    from the root to the first draw node, on level 4. Below it one level-5
+    node draws and the other is forced."""
+    vec = np.zeros(64, dtype=complex)
+    vec[0b101100], vec[0b101101], vec[0b101111] = 0.6, 0.64j, -0.48
+    return DDPackage().from_vector(vec)
+
+
+@pytest.mark.parametrize("name", ["skipping", "forced-skipping", "forked", "forked-by-hand"])
+def test_node_mass_equals_node_by_node_upstream(name):
+    if name in ("skipping", "forced-skipping"):
+        build = skipping_diagram if name == "skipping" else forced_skipping_diagram
+        dd = build(np.random.default_rng(7))
+    else:
+        dd = forked_diagram(None if name == "forked" else ((0.6, 0.0), (0.0, 0.8)))
+    up = dense_ref.upstream_ref(dd)
+    nodes = dd.view.nodes
+    assert all(v.mass == up[v] for v in nodes)
+    assert dd.view.up.tolist() == [v.mass for v in nodes] + [1.0]
+
+
 def root_p1(dd):
     view = dd.view
     return view.mag1[0] * view.up[view.succ1[0]] / view.up[0]
@@ -224,6 +278,27 @@ def test_walk_cache_examples(monkeypatch, name):
         assert sample_paths(dd, 1, special).counts[dd.view.nodes[1]] == (name == "top")
 
 
+def test_forced_chain_examples(monkeypatch):
+    calls = [(40, 0), (100, -1), (100, 0), (7, 2**64 - 1)]
+    monkeypatch.setattr(analysis, "_WALK_BLOCK", 1000)
+    dd = simulate(ghz(64), DDPackage())
+    check_cached_calls(dd, [(3000, 0), (1000, 5), (2500, 5)])
+    jump, steps = dd._chains[1:3]
+    assert (jump[0], steps[0]) == (0, 1)  # only the root draws
+    assert steps.max() == 64  # the chains below it run to the terminal
+    monkeypatch.setattr(analysis, "_WALK_BLOCK", 3)
+    dd = deep_draw_state()
+    check_cached_calls(dd, calls)
+    jump, steps = dd._chains[1:3]
+    assert dd.view.nodes[jump[0]].level == 4 and steps[0] == 5
+    for build in (skipping_diagram, forced_skipping_diagram):
+        for rng_seed in range(3):
+            dd = build(np.random.default_rng(rng_seed))
+            check_cached_calls(dd, calls)
+    a = dd.view.index[dd.root.target.succ0.target]
+    assert dd.view.nodes[dd._chains[1][a]].level == 3 and dd._chains[2][a] == 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     vec=sparse_states(),
@@ -252,7 +327,8 @@ def test_view_is_built_once_and_only_by_analysis():
     assert "view" not in vars(dd)
     view = dd.view
     contributions(dd)
-    assert "_walks" not in vars(dd)  # only sampling fills the walk cache
+    # only sampling fills the walk cache and builds the forced-chain arrays
+    assert "_walks" not in vars(dd) and "_chains" not in vars(dd)
     for traversals in (40, 100, 100, 20):
         sample_paths(dd, traversals, seed=1)
         approx_threshold(dd, traversals, 1, seed=1)
