@@ -17,10 +17,11 @@ every pass reads it; the downstream is pushed top-down from the root. Every
 float comes from the same operations in the same order as in a node-by-node
 pass, so the results match such a pass bit for bit.
 
-Path sampling keeps its visit counts on the state as well (`StateDD._walks`),
-so a sweep walks each path once. On its first call it also keeps, per node,
-where a walk lands after the chain of forced branches below it
-(`StateDD._chains`), so a walk moves only between nodes that take a draw.
+Path sampling keeps the last seed's visit counts on the state as well
+(`StateDD._walks`), so a sweep walks each path once. On its first call it
+also keeps, per node, where a walk lands after the chain of forced branches
+below it (`StateDD._chains`), so a walk moves only between nodes that take
+a draw.
 """
 
 from __future__ import annotations
@@ -38,19 +39,17 @@ from .rng import _MASK64, derive_seeds, draw_array
 def _downstream(dd: StateDD) -> np.ndarray:
     """Downstream per node index, pushed down one level at a time.
 
-    `np.add.at` adds the edges of a level into their children in turn,
-    parents in (level, uid) order and each parent's 0-successor edge before
-    its 1-successor edge, so a node's incoming masses are summed in that
-    order. Edges into the terminal land on the sentinel entry, dropped here.
+    `np.add.at` adds the edges of a level's slice of `view.succ`, raveled,
+    into their children in turn: parents in (level, uid) order and each
+    parent's 0-edge before its 1-edge, so a node's incoming masses are
+    summed in that order. Edges into the terminal land on the sentinel
+    entry, dropped here.
     """
     view = dd.view
-    succ = np.stack((view.succ0, view.succ1), axis=1)
-    mag = np.stack((view.mag0, view.mag1), axis=1)
     down = np.zeros(len(view.nodes) + 1)
     down[0] = sqr_mag(dd.root.weight)  # the root is alone on the top level
-    for _, start, stop in view.levels:
-        s = slice(start, stop)
-        np.add.at(down, succ[s].ravel(), (down[s, None] * mag[s]).ravel())
+    for s in view.levels.values():
+        np.add.at(down, view.succ[s].ravel(), (down[s, None] * view.mag[s]).ravel())
     return down[:-1]
 
 
@@ -81,7 +80,7 @@ def contributions(dd: StateDD) -> dict[Node, float]:
 def nodes_by_level(dd: StateDD) -> dict[int, list[Node]]:
     """Reachable nonterminal nodes grouped by level, each group in uid order."""
     view = dd.view
-    return {level: view.nodes[start:stop] for level, start, stop in view.levels}
+    return {level: view.nodes[s] for level, s in view.levels.items()}
 
 
 #: Walks advanced together; bounds the walk kernel's memory for any walk count.
@@ -120,12 +119,12 @@ def sample_paths(dd: StateDD, traversals: int, seed: int) -> VisitCounts:
     branch is forced no draw is taken and the walk skips the whole forced
     chain at once; the counts are those of walking every node.
 
-    The counts are kept on the state, one entry per seed modulo 2**64
-    holding the last walk count asked for. A call for at least that many
-    walks takes only the new walks and adds their counts; a call for fewer
-    walks them all again. Either way the counts are the same integers as a
-    fresh run, and the state keeps one count array per seed it was sampled
-    with.
+    The counts of the last seed sampled (modulo 2**64) are kept on the
+    state with the last walk count asked for. A call with that seed for at
+    least that many walks takes only the new walks and adds their counts; a
+    call for fewer walks them all again, and a call with another seed walks
+    afresh and replaces the kept counts. Either way the counts are the same
+    integers as a fresh run, and the state keeps one count array at most.
     """
     if traversals < 1:
         raise ValueError("traversals must be at least 1")
@@ -136,13 +135,15 @@ def _visit_counts(dd: StateDD, traversals: int, seed: int) -> np.ndarray:
     """Read-only visit count per view node index over walks 0..traversals-1,
     extended from or stored in the state's walk cache."""
     key = seed & _MASK64
-    done, counts = dd._walks.get(key, (0, None))
+    walks = dd._walks
+    done, counts = walks.get(key, (0, None))
     if counts is None or traversals < done:
         done, counts = 0, np.zeros(len(dd.view.nodes), dtype=np.int64)
     if traversals > done:
         counts = counts + _walk(dd, key, done, traversals)
         counts.flags.writeable = False
-        dd._walks[key] = (traversals, counts)
+        walks.clear()  # one seed's counts at most, so the cache stays bounded
+        walks[key] = (traversals, counts)
     return counts
 
 
@@ -153,21 +154,22 @@ def _chains(view: LevelView) -> tuple:
     ``p1 * 2**53``. A draw is compared in those units: u < p1 exactly when
     `(x >> 11) < p1 * 2**53`, since the product is exact. Only nodes with
     0 < p1 * 2**53 <= 2**53 - 1 take a draw; the others go to a forced
-    successor (`succ1` above that range, `succ0` at or below 0 or for a
-    NaN). ``jump[i]`` is the first node that takes a draw, or the terminal,
-    reached from node i through forced successors (i itself when it draws),
-    and ``steps[i]`` is one plus the number of forced steps to get there, as
-    uint64. ``push`` lists, top level first, the forced nodes of each level
-    that has any and their forced successors.
+    successor (the 1-successor above that range, the 0-successor at or
+    below 0 or for a NaN). ``jump[i]`` is the first node that takes a draw,
+    or the terminal, reached from node i through forced successors (i
+    itself when it draws), and ``steps[i]`` is one plus the number of forced
+    steps to get there, as uint64. ``push`` lists, top level first, the
+    forced nodes of each level slice (``view.levels``) that has any and
+    their forced successors.
     """
     m = len(view.nodes)
-    up = view.up
-    thr = view.mag1 * up[view.succ1] / up[:-1] * 2.0**53
+    succ, up = view.succ, view.up
+    thr = view.mag[:, 1] * up[succ[:, 1]] / up[:-1] * 2.0**53
     forced = ~((thr > 0.0) & (thr <= _DRAW_MAX))
-    forced_succ = np.where(thr > _DRAW_MAX, view.succ1, view.succ0)
+    forced_succ = np.where(thr > _DRAW_MAX, succ[:, 1], succ[:, 0])
     push = []
-    for _, start, stop in view.levels:
-        i = np.flatnonzero(forced[start:stop]) + start
+    for s in view.levels.values():
+        i = np.flatnonzero(forced[s]) + s.start
         if i.size:
             push.append((i, forced_succ[i]))
     jump = np.arange(m + 1)
@@ -184,20 +186,21 @@ def _walk(dd: StateDD, seed: int, start: int, stop: int) -> np.ndarray:
     Walks advance together in blocks of `_WALK_BLOCK` walks, and each one
     sits only on nodes that take a draw (`_chains`). A walk carries its own
     step index `k`: at a draw node i it takes its k-th draw, which picks
-    edge e = 2i (0-side) or 2i + 1 (1-side), moves on to the `jump` of that
-    edge's target and adds the target's `steps` to `k`. So a walk over a
-    forced chain skips the chain in one move and draws exactly what a
-    node-by-node walk draws. Edges taken are counted with `bincount`; each
-    edge's count enters its target, and then the counts of forced nodes
-    are pushed down to their forced successors one level at a time, which
-    gives every node the number of walks through it.
+    edge e = 2i (0-side) or 2i + 1 (1-side), row i of `view.succ` raveled,
+    moves on to the `jump` of that edge's target and adds the target's
+    `steps` to `k`. So a walk over a forced chain skips the chain in one
+    move and draws exactly what a node-by-node walk draws. Edges taken are
+    counted with `bincount`; each edge's count enters its target, and then
+    the counts of forced nodes are pushed down to their forced successors
+    one level at a time, which gives every node the number of walks through
+    it.
     """
     view = dd.view
     m = len(view.nodes)
     counts = np.zeros(m + 1, dtype=np.int64)  # the sentinel counts the terminal
     if m:
         thr, jump, steps, push = dd._chains
-        succ = np.stack((view.succ0, view.succ1), axis=1).ravel()  # edge 2i + b
+        succ = view.succ.ravel()  # edge 2i + b
         edge_jump, edge_steps = jump[succ], steps[succ]
         taken = np.zeros(2 * m, dtype=np.int64)
         for first in range(start, stop, _WALK_BLOCK):

@@ -21,7 +21,7 @@ from typing import Iterable, Union, get_args
 import numpy as np
 
 from .analysis import _contributions, sample_paths
-from .dd import LevelView, Node, StateDD, _gc_paused, _mass, _rescaled, rebuild
+from .dd import Edge, LevelView, Node, StateDD, _gc_paused, _mass, _rebuild, _rescaled
 from .errors import ZeroStateError
 from .fidelity import fidelity as state_fidelity
 
@@ -39,19 +39,19 @@ def _budget_prefixes(dd: StateDD, levels: Iterable[int], budget: float) -> list[
     everything after it. Ties in contribution fall back to uid order: a
     level's slice of the view is in uid order and the sort is stable.
     Contributions are nonnegative, so the running sums (added in order, as
-    `np.cumsum` does) never decrease and one search finds the cut.
+    `np.cumsum` does) never decrease and one search finds the cut. A level
+    with no node gives an empty prefix.
     """
     view = dd.view
     contrib = _contributions(dd)
     limit = budget - _BUDGET_SLACK
-    spans = {level: (start, stop) for level, start, stop in view.levels}
     out = []
     for level in levels:
-        start, stop = spans.get(level, (0, 0))
-        c = contrib[start:stop]
+        s = view.levels.get(level, slice(0))
+        c, nodes = contrib[s], view.nodes[s]
         order = np.argsort(c, kind="stable")
         cut = int(np.searchsorted(np.cumsum(c[order]), limit, side="right"))
-        out.append([view.nodes[start + i] for i in order[:cut].tolist()])
+        out.append([nodes[i] for i in order[:cut].tolist()])
     return out
 
 
@@ -206,19 +206,21 @@ def eliminate(dd: StateDD, doomed: Iterable[Node]) -> StateDD:
 def _eliminate(dd: StateDD, doomed: Iterable[Node]) -> tuple[StateDD, int, float]:
     """`eliminate`, plus the result's size and the path mass it divided out.
 
-    One bottom-up pass over the view marks the nodes to keep:
-    ``keep = fixed & ~doomed & keep[succ0] & keep[succ1]``. The mass is read
-    off the rebuilt root (`Node.mass`), so the rescaled root is the one
-    `renormalize` gives. The size comes from `_result_size`.
+    One bottom-up pass over the view's level slices marks the nodes to
+    keep: ``keep = fixed & ~doomed``, ANDed with ``keep`` of both entries
+    of the node's row of `view.succ`. `dd._rebuild` then copies the root
+    edge, with doomed nodes replaced by the zero-stub and kept ones by
+    themselves at weight one. The mass is read off the rebuilt root
+    (`Node.mass`), so the rescaled root is the one `renormalize` gives. The
+    size comes from `_result_size`.
     """
     pkg = dd.package
     view = dd.view
     doomed = set(doomed)
     keep = view.fixed.copy()
     keep[[i for i in map(view.index.get, doomed) if i is not None]] = False
-    for _, start, stop in reversed(view.levels):
-        s = slice(start, stop)
-        keep[s] &= keep[view.succ0[s]] & keep[view.succ1[s]]
+    for s in reversed(view.levels.values()):
+        keep[s] &= keep[view.succ[s]].all(axis=1)
     one = pkg.table.one
 
     def replace(v: Node):
@@ -226,7 +228,7 @@ def _eliminate(dd: StateDD, doomed: Iterable[Node]) -> tuple[StateDD, int, float
             return pkg.zero_stub
         return (v, one) if keep[view.index[v]] else None
 
-    root = rebuild(pkg, dd.root, replace, {})
+    root = Edge(*_rebuild(pkg, *dd.root, replace, {}))
     if root.weight is pkg.table.zero:
         raise ZeroStateError("elimination removed all probability mass")
     total = _mass(root)
@@ -239,8 +241,9 @@ def _result_size(top, view: LevelView) -> int:
 
     A walk with an explicit stack collects the nodes outside the view and
     stops at every view node (and the terminal) it steps onto. Those view
-    nodes are spread down the view one level at a time and counted; a node
-    that `make_node` gave back from the view is counted there, once.
+    nodes are spread down the view one level slice at a time, each reached
+    node marking both entries of its row of `view.succ`, and counted; a
+    node that `make_node` gave back from the view is counted there, once.
     """
     index = view.index
     outside: set[Node] = set()
@@ -257,11 +260,8 @@ def _result_size(top, view: LevelView) -> int:
             stack.append(v.succ0.target)
     seen = np.zeros(len(view.nodes) + 1, dtype=bool)
     seen[reached] = True
-    for _, start, stop in view.levels:
-        s = slice(start, stop)
-        hit = seen[s]
-        seen[view.succ0[s][hit]] = True
-        seen[view.succ1[s][hit]] = True
+    for s in view.levels.values():
+        seen[view.succ[s][seen[s]]] = True
     return len(outside) + int(np.count_nonzero(seen[:-1]))
 
 

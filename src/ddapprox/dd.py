@@ -51,8 +51,8 @@ import gc
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from itertools import repeat
-from operator import attrgetter, is_
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -266,20 +266,16 @@ class DDPackage:
         return before - len(self._unique)
 
 
-def rebuild(pkg: DDPackage, edge: Edge, replace, memo: dict) -> Edge:
-    """Copy of the diagram below `edge` with some nodes replaced, re-reduced.
+def _rebuild(pkg: DDPackage, node, weight: ComplexValue, replace, memo: dict) -> tuple:
+    """Copy of the edge (`node`, `weight`) with some nodes replaced,
+    re-reduced, as a plain (target, weight) pair.
 
     `replace(node)` returns the (target, weight) pair that stands for
     `node`, or None to rebuild the node from its rebuilt successors
     (0-successor first) through `make_node`. Results are memoized per node
     in `memo`, which callers may share across walks; the incoming weight is
-    multiplied back on. The walk itself (`_rebuild`) passes plain pairs.
+    multiplied back on.
     """
-    return Edge(*_rebuild(pkg, edge.target, edge.weight, replace, memo))
-
-
-def _rebuild(pkg: DDPackage, node, weight: ComplexValue, replace, memo: dict) -> tuple:
-    """`rebuild` of the edge (`node`, `weight`), as a plain pair."""
     t = pkg.table
     if weight is t.zero:
         return pkg.zero_stub
@@ -329,12 +325,13 @@ class LevelView:
 
     Node ``i`` is ``nodes[i]``; the terminal is the sentinel index
     ``len(nodes)``, which zero-stubs point to as well, and ``index`` maps
-    each node and the terminal back to its index. ``succ0``/``succ1`` hold
-    successor indices and ``mag0``/``mag1`` the squared weight magnitudes
-    |w0|^2, |w1|^2. ``levels`` lists ``(level, start, stop)`` for each
-    occupied level, top down, with ``nodes[start:stop]`` on that level.
-    Successors always sit on a deeper level, so passes over the diagram can
-    go one whole level at a time, bottom-up or top-down.
+    each node and the terminal back to its index. ``succ`` and ``mag`` are
+    (m, 2) arrays: row ``i`` holds node ``i``'s 0-edge, then its 1-edge, as
+    successor indices and as squared weight magnitudes |w|^2, so their
+    ravel lists edge ``2i + b``. ``levels`` maps each occupied level, top
+    level first, to its ``slice`` of the node order. Successors always sit
+    on a deeper level, so passes over the diagram can go one whole level at
+    a time, bottom-up or top-down.
 
     ``up[i]`` is node ``i``'s upstream mass, ``nodes[i].mass``, gathered
     once for every pass over the view to read; the sentinel entry is the
@@ -346,15 +343,18 @@ class LevelView:
     is one and |w1|^2 <= 1`` or ``w1 is one and |w0|^2 < 1`` (it is already
     divided by its larger weight, ties to the 0-successor); a one-successor
     node when its live weight has ``math.hypot`` exactly 1. Nodes whose
-    weights tie in magnitude only up to rounding fail both tests. The mask
-    is read off the node's own weights alone, so it assumes the nodes are
-    still in the unique table, as they are unless ``collect_garbage``
-    dropped the state. The sentinel entry is True.
+    weights tie in magnitude only up to rounding fail both tests. The
+    table's ``one`` and ``zero`` are told by their coordinates, (1, 0) and
+    (0, 0): ``ComplexTable.lookup`` returns them for exactly those
+    coordinates (either sign of zero) and never stores another value there.
+    The mask is read off the node's own weights alone, so it assumes the
+    nodes are still in the unique table, as they are unless
+    ``collect_garbage`` dropped the state. The sentinel entry is True.
     """
 
-    __slots__ = ("nodes", "index", "succ0", "succ1", "mag0", "mag1", "levels", "up", "fixed")
+    __slots__ = ("nodes", "index", "succ", "mag", "levels", "up", "fixed")
 
-    def __init__(self, nodes: list[Node], table: ComplexTable):
+    def __init__(self, nodes: list[Node]):
         # two stable sorts on int keys: several times faster than tuple keys
         nodes = sorted(nodes, key=attrgetter("uid"))
         nodes.sort(key=attrgetter("level"))
@@ -363,38 +363,29 @@ class LevelView:
         index[TERMINAL] = m
         self.nodes = nodes
         self.index = index
-        self.succ0, self.mag0, one0, zero0 = _edge_arrays(nodes, "succ0", index, table)
-        self.succ1, self.mag1, one1, zero1 = _edge_arrays(nodes, "succ1", index, table)
+        edges = list(chain.from_iterable(map(attrgetter("succ0", "succ1"), nodes)))
+        weights = list(map(attrgetter("weight"), edges))
+        targets = map(index.__getitem__, map(attrgetter("target"), edges))
+        succ = np.fromiter(targets, np.intp, 2 * m).reshape(m, 2)
+        re = np.fromiter(map(attrgetter("re"), weights), np.float64, 2 * m).reshape(m, 2)
+        im = np.fromiter(map(attrgetter("im"), weights), np.float64, 2 * m).reshape(m, 2)
+        mag = re * re + im * im  # the same products and sum as sqr_mag, bit for bit
+        succ.flags.writeable = mag.flags.writeable = False
+        self.succ, self.mag = succ, mag
         lv = [v.level for v in nodes]
         cuts = [i for i in range(1, m) if lv[i] != lv[i - 1]]
-        self.levels = tuple(
-            (lv[a], a, b) for a, b in zip([0, *cuts], [*cuts, m]) if a < b
-        )
+        self.levels = {lv[a]: slice(a, b) for a, b in zip([0, *cuts], [*cuts, m]) if a < b}
         up = np.fromiter(map(attrgetter("mass"), [*nodes, TERMINAL]), np.float64, m + 1)
         up.flags.writeable = False
         self.up = up
-        fixed = np.append((one0 & (self.mag1 <= 1.0)) | (one1 & (self.mag0 < 1.0)), True)
-        for i in np.flatnonzero(zero0 | zero1).tolist():
-            w = (nodes[i].succ1 if zero0[i] else nodes[i].succ0).weight
-            fixed[i] = math.hypot(w.re, w.im) == 1.0
+        one = (re == 1.0) & (im == 0.0)
+        zero = (re == 0.0) & (im == 0.0)
+        fixed = np.append((one[:, 0] & (mag[:, 1] <= 1.0)) | (one[:, 1] & (mag[:, 0] < 1.0)), True)
+        for i in np.flatnonzero(zero.any(axis=1)).tolist():
+            b = int(zero[i, 0])  # the live slot
+            fixed[i] = math.hypot(re[i, b], im[i, b]) == 1.0
         fixed.flags.writeable = False
         self.fixed = fixed
-
-
-def _edge_arrays(nodes: list[Node], slot: str, index: dict, table: ComplexTable):
-    """Read-only successor indices and |w|^2 of one successor slot, and
-    whether each weight is the table's `one` and its `zero`."""
-    m = len(nodes)
-    edges = list(map(attrgetter(slot), nodes))
-    weights = list(map(attrgetter("weight"), edges))
-    succ = np.fromiter(map(index.__getitem__, map(attrgetter("target"), edges)), np.intp, m)
-    re = np.fromiter(map(attrgetter("re"), weights), np.float64, m)
-    im = np.fromiter(map(attrgetter("im"), weights), np.float64, m)
-    mag = re * re + im * im  # the same products and sum as sqr_mag, bit for bit
-    succ.flags.writeable = mag.flags.writeable = False
-    is_one = np.fromiter(map(is_, weights, repeat(table.one)), bool, m)
-    is_zero = np.fromiter(map(is_, weights, repeat(table.zero)), bool, m)
-    return succ, mag, is_one, is_zero
 
 
 def _mass(e: Edge) -> float:
@@ -448,12 +439,13 @@ class StateDD:
     @cached_property
     def view(self) -> LevelView:
         """The state's level-array view, built on first use and kept."""
-        return LevelView(reachable_nodes(self), self.package.table)
+        return LevelView(reachable_nodes(self))
 
     @cached_property
     def _walks(self) -> dict[int, tuple]:
-        """`sample_paths`' walk cache: seed modulo 2**64 -> (walks taken,
-        read-only int64 visit count per view node index)."""
+        """`sample_paths`' walk cache: the last seed sampled, modulo 2**64,
+        -> (walks taken, read-only int64 visit count per view node index).
+        It holds one entry at most; sampling with another seed replaces it."""
         return {}
 
     @cached_property

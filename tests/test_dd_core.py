@@ -335,7 +335,7 @@ def _exercise_public_calls() -> None:
     for traversals in (32, 64, 64, 16):
         sample_paths(fresh, traversals, 3)
         approx_threshold(fresh, traversals, 4, seed=-1)
-    assert set(vars(fresh)["_walks"]) == {3, 2**64 - 1}
+    assert set(vars(fresh)["_walks"]) == {2**64 - 1}  # the last seed only
     try:  # not pytest.raises: its ExceptionInfo would hold this frame in a cycle
         eliminate(dd, reachable_nodes(dd))
     except ZeroStateError:

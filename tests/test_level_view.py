@@ -93,7 +93,7 @@ def test_lockstep_counts_equal_walk_by_walk_replay(vec, traversals, seed):
 @given(rng_seed=st.integers(0, 2**32 - 1), traversals=st.integers(1, 400), seed=SEEDS)
 def test_level_skipping_diagram_matches_references(rng_seed, traversals, seed):
     dd = skipping_diagram(np.random.default_rng(rng_seed))
-    assert [level for level, _, _ in dd.view.levels] == [0, 1, 2, 3]
+    assert list(dd.view.levels) == [0, 1, 2, 3]
     assert sample_paths(dd, traversals, seed).counts == dense_ref.replay_walks(
         dd, traversals, seed
     )
@@ -239,14 +239,14 @@ def test_node_mass_equals_node_by_node_upstream(name):
 
 def root_p1(dd):
     view = dd.view
-    return view.mag1[0] * view.up[view.succ1[0]] / view.up[0]
+    return view.mag[0, 1] * view.up[view.succ[0, 1]] / view.up[0]
 
 
 def check_cached_calls(dd, calls):
     for traversals, seed in calls:
         got = sample_paths(dd, traversals, seed).counts
         assert got == dense_ref.replay_walks(dd, traversals, seed)
-    assert set(vars(dd)["_walks"]) == {seed & _MASK64 for _, seed in calls}
+    assert set(vars(dd)["_walks"]) == {calls[-1][1] & _MASK64}  # the last seed only
 
 
 def cache_example(name):
@@ -319,6 +319,15 @@ def test_walk_cache_matches_fresh_replays(vec, block, calls):
         check_cached_calls(dd, calls)
 
 
+def test_walk_cache_keeps_one_seed():
+    dd = DDPackage().from_vector(sparse_state(5, 4, 2, 0.3))
+    for seed in range(10):
+        sample_paths(dd, 100, seed)
+    assert list(vars(dd)["_walks"]) == [9]
+    assert sample_paths(dd, 100, 4).counts == dense_ref.replay_walks(dd, 100, 4)
+    assert list(vars(dd)["_walks"]) == [4]
+
+
 def test_view_is_built_once_and_only_by_analysis():
     dd = DDPackage().from_vector(dense_ref.random_state(np.random.default_rng(3), 4))
     dd.size()
@@ -335,12 +344,13 @@ def test_view_is_built_once_and_only_by_analysis():
     assert dd.view is view
     assert list(vars(dd)["_walks"]) == [1]
     assert [v for group in nodes_by_level(dd).values() for v in group] == view.nodes
-    assert not view.succ0.flags.writeable and not view.up.flags.writeable
+    assert not view.succ.flags.writeable and not view.mag.flags.writeable
+    assert not view.up.flags.writeable
 
 
 def test_zero_qubit_state_maps():
     dd = DDPackage().from_vector([1.0])
-    assert dd.view.levels == ()
+    assert dd.view.levels == {}
     assert len(upstream(dd)) == 1
     assert downstream(dd) == contributions(dd) == nodes_by_level(dd) == {}
     assert sample_paths(dd, 5, seed=0).counts == {}
