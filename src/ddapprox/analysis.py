@@ -17,11 +17,10 @@ every pass reads it; the downstream is pushed top-down from the root. Every
 float comes from the same operations in the same order as in a node-by-node
 pass, so the results match such a pass bit for bit.
 
-Path sampling keeps the last seed's visit counts on the state as well
-(`StateDD._walks`), so a sweep walks each path once. On its first call it
-also keeps, per node, where a walk lands after the chain of forced branches
-below it (`StateDD._chains`), so a walk moves only between nodes that take
-a draw.
+Path sampling keeps its cache on the view as well (`LevelView.walks`): the
+last seed's visit counts, so a sweep walks each path once, and, per node,
+where a walk lands after the chain of forced branches below it (`_chains`),
+so a walk moves only between nodes that take a draw.
 """
 
 from __future__ import annotations
@@ -120,30 +119,34 @@ def sample_paths(dd: StateDD, traversals: int, seed: int) -> VisitCounts:
     chain at once; the counts are those of walking every node.
 
     The counts of the last seed sampled (modulo 2**64) are kept on the
-    state with the last walk count asked for. A call with that seed for at
-    least that many walks takes only the new walks and adds their counts; a
-    call for fewer walks them all again, and a call with another seed walks
-    afresh and replaces the kept counts. Either way the counts are the same
-    integers as a fresh run, and the state keeps one count array at most.
+    state's view (`LevelView.walks`) with the last walk count asked for. A
+    call with that seed for at least that many walks takes only the new
+    walks and adds their counts; a call for fewer walks them all again, and
+    a call with another seed walks afresh and replaces the kept counts.
+    Either way the counts are the same integers as a fresh run, and the view
+    keeps one count array at most.
     """
     if traversals < 1:
         raise ValueError("traversals must be at least 1")
-    return VisitCounts(dd.view.nodes, _visit_counts(dd, traversals, seed), traversals, seed)
+    return VisitCounts(dd.view.nodes, _visit_counts(dd.view, traversals, seed), traversals, seed)
 
 
-def _visit_counts(dd: StateDD, traversals: int, seed: int) -> np.ndarray:
-    """Read-only visit count per view node index over walks 0..traversals-1,
-    extended from or stored in the state's walk cache."""
+def _visit_counts(view: LevelView, traversals: int, seed: int) -> np.ndarray:
+    """Read-only visit count per view node index over walks 0..traversals-1.
+
+    `view.walks` holds (chains, seed, walks done, counts): the `_chains`
+    arrays, built on the view's first sampling call and kept, and the last
+    seed's counts, extended when more walks are asked for and replaced when
+    fewer are or the seed differs.
+    """
     key = seed & _MASK64
-    walks = dd._walks
-    done, counts = walks.get(key, (0, None))
-    if counts is None or traversals < done:
-        done, counts = 0, np.zeros(len(dd.view.nodes), dtype=np.int64)
+    chains, last, done, counts = view.walks or (_chains(view), None, 0, None)
+    if last != key or traversals < done:
+        done, counts = 0, np.zeros(len(view.nodes), dtype=np.int64)
     if traversals > done:
-        counts = counts + _walk(dd, key, done, traversals)
+        counts = counts + _walk(view, chains, key, done, traversals)
         counts.flags.writeable = False
-        walks.clear()  # one seed's counts at most, so the cache stays bounded
-        walks[key] = (traversals, counts)
+        view.walks = (chains, key, traversals, counts)
     return counts
 
 
@@ -180,26 +183,25 @@ def _chains(view: LevelView) -> tuple:
     return thr, jump, steps, push
 
 
-def _walk(dd: StateDD, seed: int, start: int, stop: int) -> np.ndarray:
+def _walk(view: LevelView, chains: tuple, seed: int, start: int, stop: int) -> np.ndarray:
     """Visit count per view node index over walks start..stop-1.
 
     Walks advance together in blocks of `_WALK_BLOCK` walks, and each one
-    sits only on nodes that take a draw (`_chains`). A walk carries its own
-    step index `k`: at a draw node i it takes its k-th draw, which picks
-    edge e = 2i (0-side) or 2i + 1 (1-side), row i of `view.succ` raveled,
-    moves on to the `jump` of that edge's target and adds the target's
-    `steps` to `k`. So a walk over a forced chain skips the chain in one
-    move and draws exactly what a node-by-node walk draws. Edges taken are
-    counted with `bincount`; each edge's count enters its target, and then
-    the counts of forced nodes are pushed down to their forced successors
-    one level at a time, which gives every node the number of walks through
-    it.
+    sits only on nodes that take a draw (`chains`, the view's `_chains`
+    arrays). A walk carries its own step index `k`: at a draw node i it
+    takes its k-th draw, which picks edge e = 2i (0-side) or 2i + 1
+    (1-side), row i of `view.succ` raveled, moves on to the `jump` of that
+    edge's target and adds the target's `steps` to `k`. So a walk over a
+    forced chain skips the chain in one move and draws exactly what a
+    node-by-node walk draws. Edges taken are counted with `bincount`; each
+    edge's count enters its target, and then the counts of forced nodes are
+    pushed down to their forced successors one level at a time, which gives
+    every node the number of walks through it.
     """
-    view = dd.view
     m = len(view.nodes)
     counts = np.zeros(m + 1, dtype=np.int64)  # the sentinel counts the terminal
     if m:
-        thr, jump, steps, push = dd._chains
+        thr, jump, steps, push = chains
         succ = view.succ.ravel()  # edge 2i + b
         edge_jump, edge_steps = jump[succ], steps[succ]
         taken = np.zeros(2 * m, dtype=np.int64)

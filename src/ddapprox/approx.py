@@ -1,9 +1,10 @@
 """Approximation schemes: eliminate weak nodes, rescale, report the trade-off.
 
-All four schemes pick a set of doomed nodes, replace every edge into them
-with the zero-stub, re-reduce, and rescale back to unit norm. Because such
-a step only zeroes amplitudes and rescales the rest, the fidelity against
-the original state equals the kept probability mass.
+All four schemes pick a set of doomed nodes, as indices into the state's
+`LevelView`, replace every edge into them with the zero-stub, re-reduce,
+and rescale back to unit norm. Because such a step only zeroes amplitudes
+and rescales the rest, the fidelity against the original state equals the
+kept probability mass.
 
 Re-reducing keeps a node as it is when neither it nor any node below it is
 doomed and all of them are fixed points of `make_node` (`LevelView.fixed`);
@@ -31,9 +32,9 @@ from .fidelity import fidelity as state_fidelity
 _BUDGET_SLACK = 1e-10
 
 
-def _budget_prefixes(dd: StateDD, levels: Iterable[int], budget: float) -> list[list[Node]]:
+def _budget_prefixes(dd: StateDD, levels: Iterable[int], budget: float) -> list[np.ndarray]:
     """Per level, the longest ascending-contribution prefix of its nodes
-    whose running sum stays <= budget.
+    whose running sum stays <= budget, as an int array of view indices.
 
     The first node that would push the sum past the budget is kept, as is
     everything after it. Ties in contribution fall back to uid order: a
@@ -47,11 +48,11 @@ def _budget_prefixes(dd: StateDD, levels: Iterable[int], budget: float) -> list[
     limit = budget - _BUDGET_SLACK
     out = []
     for level in levels:
-        s = view.levels.get(level, slice(0))
-        c, nodes = contrib[s], view.nodes[s]
+        s = view.levels.get(level, slice(0, 0))
+        c = contrib[s]
         order = np.argsort(c, kind="stable")
         cut = int(np.searchsorted(np.cumsum(c[order]), limit, side="right"))
-        out.append([nodes[i] for i in order[:cut].tolist()])
+        out.append(s.start + order[:cut])
     return out
 
 
@@ -75,7 +76,7 @@ class Sampling:
     def param(self):
         return self.traversals
 
-    def candidates(self, dd: StateDD) -> list[list[Node]]:
+    def candidates(self, dd: StateDD) -> list[np.ndarray]:
         return Threshold(self.traversals, 0, self.seed).candidates(dd)
 
 
@@ -101,10 +102,10 @@ class Threshold:
     def param(self):
         return self.tau
 
-    def candidates(self, dd: StateDD) -> list[list[Node]]:
+    def candidates(self, dd: StateDD) -> list[np.ndarray]:
+        """One candidate: the view indices of the nodes visited `tau` times or fewer."""
         visits = sample_paths(dd, self.traversals, self.seed)
-        doomed = np.flatnonzero(visits.array <= self.tau).tolist()
-        return [[visits.nodes[i] for i in doomed]]
+        return [np.flatnonzero(visits.array <= self.tau)]
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ class TargetFidelity:
     def param(self):
         return self.fidelity
 
-    def candidates(self, dd: StateDD) -> list[list[Node]]:
+    def candidates(self, dd: StateDD) -> list[np.ndarray]:
         if self.level != "best" and not 0 <= self.level < max(dd.n, 1):
             raise ValueError(f"level must lie in [0, {dd.n}) for this state")
         levels = range(dd.n) if self.level == "best" else [self.level]
@@ -163,9 +164,10 @@ class PerLevelFidelity:
     def param(self):
         return self.fidelity
 
-    def candidates(self, dd: StateDD) -> list[list[Node]]:
+    def candidates(self, dd: StateDD) -> list[np.ndarray]:
+        """One candidate: the view indices of every level's budget prefix, top first."""
         prefixes = TargetFidelity(self.fidelity).candidates(dd)  # one per level
-        return [[v for prefix in prefixes for v in prefix]]
+        return [np.concatenate(prefixes) if prefixes else np.empty(0, np.intp)]
 
 
 Scheme = Union[Sampling, Threshold, TargetFidelity, PerLevelFidelity]
@@ -195,38 +197,43 @@ def eliminate(dd: StateDD, doomed: Iterable[Node]) -> StateDD:
     other node would come back as itself with weight one and no table write,
     so its edge is kept as it is. The norm is read off the rebuilt root, so
     the call costs time in proportion to what it rebuilds. Doomed nodes not
-    reachable from `dd` are ignored.
+    reachable from `dd` are ignored: the others are mapped to their indices
+    in `dd.view` once, here, and the elimination reads only those.
     `dd` must not be a state whose nodes `collect_garbage` dropped: kept
     nodes would then be ones the unique table no longer holds. Raises
     ZeroStateError when no probability mass remains.
     """
-    return _eliminate(dd, doomed)[0]
+    index = dd.view.index
+    found = [i for i in map(index.get, doomed) if i is not None]
+    return _eliminate(dd, np.array(found, dtype=np.intp))[0]
 
 
-def _eliminate(dd: StateDD, doomed: Iterable[Node]) -> tuple[StateDD, int, float]:
-    """`eliminate`, plus the result's size and the path mass it divided out.
+def _eliminate(dd: StateDD, doomed: np.ndarray) -> tuple[StateDD, int, float]:
+    """`eliminate` of the nodes at the view indices `doomed`, plus the
+    result's size and the path mass it divided out.
 
     One bottom-up pass over the view's level slices marks the nodes to
-    keep: ``keep = fixed & ~doomed``, ANDed with ``keep`` of both entries
-    of the node's row of `view.succ`. `dd._rebuild` then copies the root
-    edge, with doomed nodes replaced by the zero-stub and kept ones by
-    themselves at weight one. The mass is read off the rebuilt root
-    (`Node.mass`), so the rescaled root is the one `renormalize` gives. The
-    size comes from `_result_size`.
+    keep: ``keep = fixed & ~dead``, where ``dead`` marks the doomed indices,
+    ANDed with ``keep`` of both entries of the node's row of `view.succ`.
+    `dd._rebuild` then copies the root edge, with doomed nodes replaced by
+    the zero-stub and kept ones by themselves at weight one. The mass is
+    read off the rebuilt root (`Node.mass`), so the rescaled root is the one
+    `renormalize` gives. The size comes from `_result_size`.
     """
     pkg = dd.package
     view = dd.view
-    doomed = set(doomed)
-    keep = view.fixed.copy()
-    keep[[i for i in map(view.index.get, doomed) if i is not None]] = False
+    dead = np.zeros(len(view.nodes) + 1, dtype=bool)
+    dead[doomed] = True
+    keep = view.fixed & ~dead
     for s in reversed(view.levels.values()):
         keep[s] &= keep[view.succ[s]].all(axis=1)
     one = pkg.table.one
 
     def replace(v: Node):
-        if v in doomed:
+        i = view.index[v]
+        if dead[i]:
             return pkg.zero_stub
-        return (v, one) if keep[view.index[v]] else None
+        return (v, one) if keep[i] else None
 
     root = Edge(*_rebuild(pkg, *dd.root, replace, {}))
     if root.weight is pkg.table.zero:
@@ -270,18 +277,19 @@ def apply_scheme(dd: StateDD, scheme: Scheme):
     """Approximate `dd` with `scheme`; returns (approximated state, report).
 
     A scheme only selects: `scheme.candidates(dd)` lists candidate doomed
-    sets in order. Each non-empty one is eliminated in turn and the first
-    smallest result is kept (ties go to the earlier candidate); with no
-    non-empty candidate `dd` is returned unchanged. Each trial's size and
-    kept mass come from the elimination itself, read off `dd.view`, so no
-    trial result is walked whole.
+    sets in order, each an int array of indices into `dd.view`. Each
+    non-empty one is eliminated in turn and the first smallest result is
+    kept (ties go to the earlier candidate); with no non-empty candidate
+    `dd` is returned unchanged. Each trial's size and kept mass come from
+    the elimination itself, read off `dd.view`, so no trial result is
+    walked whole.
     """
     if not isinstance(scheme, get_args(Scheme)):
         raise TypeError(f"unknown scheme {scheme!r}")
     orig = len(dd.view.nodes)  # the selection reuses the cached view
     out, size, eliminated, kept = dd, orig, 0, 1.0
     for doomed in scheme.candidates(dd):
-        if doomed:
+        if len(doomed):
             trial, trial_size, mass = _eliminate(dd, doomed)
             if not eliminated or trial_size < size:  # the first trial always counts
                 out, size, eliminated, kept = trial, trial_size, len(doomed), mass

@@ -16,7 +16,7 @@ from pathlib import Path
 from .approx import PerLevelFidelity, Sampling, Scheme, TargetFidelity, Threshold, apply_scheme
 from .circuits import ghz, parse, qft, random_circuit, simulate
 from .dd import DDPackage, StateDD, _gc_paused
-from .errors import CircuitParseError, DDError, ZeroStateError
+from .errors import DDError, ZeroStateError
 
 _S10 = math.sqrt(10.0)
 
@@ -156,11 +156,11 @@ def _human_row(benchmark: str, scheme: Scheme, report) -> str:
 
 
 def _cmd_run(args) -> int:
+    scheme = _make_scheme(args)
     pkg = DDPackage()
     benchmark, state = _build_state(pkg, args)
     if args.dot_before:
         Path(args.dot_before).write_text(state.to_dot(), encoding="utf-8")
-    scheme = _make_scheme(args)
     out, report = apply_scheme(state, scheme)
     if args.dot_after:
         Path(args.dot_after).write_text(out.to_dot(), encoding="utf-8")
@@ -178,12 +178,12 @@ def _cmd_sweep(args) -> int:
     values = [v for v in args.grid.split(",") if v]
     if not values:
         raise ValueError("--grid must list at least one value")
+    schemes = [_make_scheme(args, override=value) for value in values]
     pkg = DDPackage()
     benchmark, state = _build_state(pkg, args)
     rows = []
     failed = False
-    for value in values:
-        scheme = _make_scheme(args, override=value)
+    for scheme in schemes:
         try:
             _, report = apply_scheme(state, scheme)
         except ZeroStateError as exc:  # leave the row out, keep the others
@@ -206,9 +206,6 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_sweep(args)
-    except CircuitParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ZeroStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

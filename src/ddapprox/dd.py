@@ -29,9 +29,9 @@ recursion-free.
 
 A package and its states are a single-threaded unit; no query is safe to run
 concurrently with another. The first analysis call on a state writes its
-level-array view (``StateDD.view``) to the state, every path-sampling call
-writes its visit counts, and the first one its forced-chain arrays, to the
-state's walk cache, and ``amplitude``,
+level-array view (``StateDD.view``) to the state; every path-sampling call
+writes its visit counts, and the first one its forced-chain arrays, to that
+view's walk cache (``LevelView.walks``); and ``amplitude``,
 ``inner_product`` and ``renormalize`` insert values into the package's value
 table.
 
@@ -350,9 +350,12 @@ class LevelView:
     The mask is read off the node's own weights alone, so it assumes the
     nodes are still in the unique table, as they are unless
     ``collect_garbage`` dropped the state. The sentinel entry is True.
+
+    ``walks`` is the path sampler's cache, None until the state is first
+    sampled; only ``analysis`` writes it (see ``analysis._visit_counts``).
     """
 
-    __slots__ = ("nodes", "index", "succ", "mag", "levels", "up", "fixed")
+    __slots__ = ("nodes", "index", "succ", "mag", "levels", "up", "fixed", "walks")
 
     def __init__(self, nodes: list[Node]):
         # two stable sorts on int keys: several times faster than tuple keys
@@ -386,6 +389,7 @@ class LevelView:
             fixed[i] = math.hypot(re[i, b], im[i, b]) == 1.0
         fixed.flags.writeable = False
         self.fixed = fixed
+        self.walks = None
 
 
 def _mass(e: Edge) -> float:
@@ -440,21 +444,6 @@ class StateDD:
     def view(self) -> LevelView:
         """The state's level-array view, built on first use and kept."""
         return LevelView(reachable_nodes(self))
-
-    @cached_property
-    def _walks(self) -> dict[int, tuple]:
-        """`sample_paths`' walk cache: the last seed sampled, modulo 2**64,
-        -> (walks taken, read-only int64 visit count per view node index).
-        It holds one entry at most; sampling with another seed replaces it."""
-        return {}
-
-    @cached_property
-    def _chains(self) -> tuple:
-        """`sample_paths`' forced-chain arrays over the view
-        (`analysis._chains`), built on the first sampling call and kept."""
-        from .analysis import _chains  # analysis imports this module
-
-        return _chains(self.view)
 
     def norm(self) -> float:
         """Square root of the root's path mass: |root weight|^2 times the

@@ -150,10 +150,11 @@ def _build(kind, n, seed, pkg):
 
 
 def _doomed(dd, mode, pick, budget):
-    """Budget prefix at level pick % n, or the nodes at the set bits of pick."""
+    """Budget prefix at level pick % n, or the nodes at the set bits of pick,
+    as view indices."""
     if mode == "prefix":
         return _budget_prefixes(dd, [pick % dd.n], budget)[0]
-    return [v for i, v in enumerate(dd.view.nodes) if pick >> i & 1]
+    return [i for i in range(len(dd.view.nodes)) if pick >> i & 1]
 
 
 def _eliminated(elim, dd, doomed):
@@ -178,7 +179,7 @@ def _accounted(dd, doomed):
 
 
 def _full_rebuild(dd, doomed):
-    out = dense_ref.eliminate_ref(dd, doomed)
+    out = dense_ref.eliminate_ref(dd, [dd.view.nodes[i] for i in doomed])
     return out, out.size()
 
 
@@ -206,7 +207,7 @@ def test_eliminate_matches_full_rebuild(kind, n, seed, mode, pick, budget):
         else:
             dd = _build(kind, n, seed, pkg)
         doomed = _doomed(dd, mode, pick, budget)
-        out.append([v.uid for v in doomed])
+        out.append([dd.view.nodes[i].uid for i in doomed])
         out.append(_eliminated(elim, dd, doomed))
     assert got == want
 
@@ -216,7 +217,7 @@ def test_overlap_example_returns_a_view_node():
     dd = _overlap_state(pkg)
     q = dd.view.nodes[4]
     assert q.level == 2 and q.succ1.weight.re < 0  # the (1, -1) node
-    out, size, mass = _eliminate(dd, [q])
+    out, size, mass = _eliminate(dd, [4])
     right = dd.root.target.succ1.target
     assert out.root.target.succ0.target is right
     assert size == out.size() == 3
@@ -242,7 +243,8 @@ def test_budget_prefixes_match_sorted_running_sum(kind, n, seed, budget):
         dense_ref.budget_prefix_ref(groups.get(lvl, ()), contrib, budget) for lvl in range(n)
     ]
     got = _budget_prefixes(dd, range(n), budget)
-    assert [[v.uid for v in p] for p in got] == [[v.uid for v in p] for p in want]
+    nodes = dd.view.nodes
+    assert [[nodes[i].uid for i in p] for p in got] == [[v.uid for v in p] for p in want]
 
 
 def test_fixed_nodes_are_fixed_points_of_make_node():

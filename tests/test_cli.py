@@ -214,6 +214,32 @@ def test_exit_code_usage_errors(capsys):
     assert code == 2
 
 
+def test_bad_grid_value_exits_before_the_state_is_built(capsys, monkeypatch):
+    import ddapprox.cli as cli
+
+    def build_state(pkg, args):
+        raise AssertionError("the state was built before the grid was checked")
+
+    monkeypatch.setattr(cli, "_build_state", build_state)
+    code, out, err = run_cli(
+        capsys, "sweep", "--builtin", "random", "12", "40", "7",
+        "--scheme", "target-fidelity", "--grid", "0.9,abc",
+    )
+    assert code == 2
+    assert out == ""
+    assert "abc" in err
+
+
+def test_usage_error_writes_no_dot_file(capsys, tmp_path):
+    dot = tmp_path / "before.dot"
+    code, _, err = run_cli(
+        capsys, "run", "--builtin", "fig2", "--scheme", "sampling", "--dot-before", str(dot)
+    )
+    assert code == 2
+    assert "--traversals" in err
+    assert not dot.exists()
+
+
 def test_exit_code_recursion_too_deep(capsys, tmp_path):
     # the gate kernel recurses once per level down to the gate's qubit
     circuit = tmp_path / "deep.qc"

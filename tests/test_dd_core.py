@@ -331,11 +331,11 @@ def _exercise_public_calls() -> None:
     sample_paths(dd, 32, 3)
     fresh = pkg.from_vector(DEMO_VECTOR)
     contributions(fresh)
-    assert "_walks" not in vars(fresh)  # only sampling fills the walk cache
+    assert fresh.view.walks is None  # only sampling fills the walk cache
     for traversals in (32, 64, 64, 16):
         sample_paths(fresh, traversals, 3)
         approx_threshold(fresh, traversals, 4, seed=-1)
-    assert set(vars(fresh)["_walks"]) == {2**64 - 1}  # the last seed only
+    assert fresh.view.walks[1] == 2**64 - 1  # the last seed only
     try:  # not pytest.raises: its ExceptionInfo would hold this frame in a cycle
         eliminate(dd, reachable_nodes(dd))
     except ZeroStateError:

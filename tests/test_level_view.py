@@ -9,6 +9,7 @@ from ddapprox import (
     Edge,
     Node,
     StateDD,
+    approx_per_level,
     approx_sampling,
     approx_target_fidelity,
     approx_threshold,
@@ -246,7 +247,7 @@ def check_cached_calls(dd, calls):
     for traversals, seed in calls:
         got = sample_paths(dd, traversals, seed).counts
         assert got == dense_ref.replay_walks(dd, traversals, seed)
-    assert set(vars(dd)["_walks"]) == {calls[-1][1] & _MASK64}  # the last seed only
+    assert dd.view.walks[1] == calls[-1][1] & _MASK64  # the last seed only
 
 
 def cache_example(name):
@@ -283,20 +284,21 @@ def test_forced_chain_examples(monkeypatch):
     monkeypatch.setattr(analysis, "_WALK_BLOCK", 1000)
     dd = simulate(ghz(64), DDPackage())
     check_cached_calls(dd, [(3000, 0), (1000, 5), (2500, 5)])
-    jump, steps = dd._chains[1:3]
+    jump, steps = dd.view.walks[0][1:3]
     assert (jump[0], steps[0]) == (0, 1)  # only the root draws
     assert steps.max() == 64  # the chains below it run to the terminal
     monkeypatch.setattr(analysis, "_WALK_BLOCK", 3)
     dd = deep_draw_state()
     check_cached_calls(dd, calls)
-    jump, steps = dd._chains[1:3]
+    jump, steps = dd.view.walks[0][1:3]
     assert dd.view.nodes[jump[0]].level == 4 and steps[0] == 5
     for build in (skipping_diagram, forced_skipping_diagram):
         for rng_seed in range(3):
             dd = build(np.random.default_rng(rng_seed))
             check_cached_calls(dd, calls)
     a = dd.view.index[dd.root.target.succ0.target]
-    assert dd.view.nodes[dd._chains[1][a]].level == 3 and dd._chains[2][a] == 2
+    jump, steps = dd.view.walks[0][1:3]
+    assert dd.view.nodes[jump[a]].level == 3 and steps[a] == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -323,9 +325,9 @@ def test_walk_cache_keeps_one_seed():
     dd = DDPackage().from_vector(sparse_state(5, 4, 2, 0.3))
     for seed in range(10):
         sample_paths(dd, 100, seed)
-    assert list(vars(dd)["_walks"]) == [9]
+    assert dd.view.walks[1] == 9
     assert sample_paths(dd, 100, 4).counts == dense_ref.replay_walks(dd, 100, 4)
-    assert list(vars(dd)["_walks"]) == [4]
+    assert dd.view.walks[1] == 4
 
 
 def test_view_is_built_once_and_only_by_analysis():
@@ -337,12 +339,12 @@ def test_view_is_built_once_and_only_by_analysis():
     view = dd.view
     contributions(dd)
     # only sampling fills the walk cache and builds the forced-chain arrays
-    assert "_walks" not in vars(dd) and "_chains" not in vars(dd)
+    assert view.walks is None
     for traversals in (40, 100, 100, 20):
         sample_paths(dd, traversals, seed=1)
         approx_threshold(dd, traversals, 1, seed=1)
     assert dd.view is view
-    assert list(vars(dd)["_walks"]) == [1]
+    assert view.walks[1] == 1
     assert [v for group in nodes_by_level(dd).values() for v in group] == view.nodes
     assert not view.succ.flags.writeable and not view.mag.flags.writeable
     assert not view.up.flags.writeable
@@ -354,6 +356,8 @@ def test_zero_qubit_state_maps():
     assert len(upstream(dd)) == 1
     assert downstream(dd) == contributions(dd) == nodes_by_level(dd) == {}
     assert sample_paths(dd, 5, seed=0).counts == {}
+    for out, report in (approx_per_level(dd, 0.5), approx_target_fidelity(dd, 0.5)):
+        assert out.root == dd.root and report.eliminated == 0  # no level, no candidate
 
 
 def test_analysis_is_recursion_free_at_3000_qubits():
