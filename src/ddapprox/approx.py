@@ -17,7 +17,7 @@ time in proportion to what it rebuilds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union, get_args
+from typing import Iterable, Sequence, Union, get_args
 
 import numpy as np
 
@@ -135,11 +135,15 @@ class TargetFidelity:
     def param(self):
         return self.fidelity
 
+    def levels(self, n: int) -> Sequence[int]:
+        """The levels offered on an n-qubit state; a fixed level outside
+        them raises ValueError."""
+        if self.level != "best" and not 0 <= self.level < max(n, 1):
+            raise ValueError(f"level must lie in [0, {n}) for this state")
+        return range(n) if self.level == "best" else [self.level]
+
     def candidates(self, dd: StateDD) -> list[np.ndarray]:
-        if self.level != "best" and not 0 <= self.level < max(dd.n, 1):
-            raise ValueError(f"level must lie in [0, {dd.n}) for this state")
-        levels = range(dd.n) if self.level == "best" else [self.level]
-        return _budget_prefixes(dd, levels, 1.0 - self.fidelity)
+        return _budget_prefixes(dd, self.levels(dd.n), 1.0 - self.fidelity)
 
 
 @dataclass(frozen=True)

@@ -251,8 +251,6 @@ def _apply(pkg: DDPackage, root: tuple, mat, target: int, control: int | None = 
 
 def ghz(n: int) -> Circuit:
     """H then a CX chain: (|0...0> + |1...1>) / sqrt(2)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
     gates = [Gate("h", (0,))]
     gates += [Gate("cx", (i, i + 1)) for i in range(n - 1)]
     return Circuit(n, tuple(gates))
@@ -260,8 +258,6 @@ def ghz(n: int) -> Circuit:
 
 def qft(n: int) -> Circuit:
     """Quantum Fourier transform: H + controlled-phase ladder + final swaps."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
     gates: list[Gate] = []
     for j in range(n):
         gates.append(Gate("h", (j,)))

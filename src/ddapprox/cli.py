@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .approx import PerLevelFidelity, Sampling, Scheme, TargetFidelity, Threshold, apply_scheme
-from .circuits import ghz, parse, qft, random_circuit, simulate
+from .circuits import Circuit, ghz, parse, qft, random_circuit, simulate
 from .dd import DDPackage, StateDD, _gc_paused
 from .errors import DDError, ZeroStateError
 
@@ -74,29 +74,39 @@ def _build_cli() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_state(pkg: DDPackage, args) -> tuple[str, StateDD]:
+def _source(args) -> tuple[str, Circuit | tuple]:
+    """The benchmark name and the circuit or demo vector of the state named
+    by `args`; nothing is simulated yet."""
     if args.circuit:
         text = Path(args.circuit).read_text(encoding="utf-8")
-        return Path(args.circuit).stem, simulate(parse(text), pkg)
-    spec = args.builtin
-    name = spec[0]
+        return Path(args.circuit).stem, parse(text)
+    name, *params = spec = args.builtin
     if name in DEMO_STATES:
-        if len(spec) != 1:
+        if params:
             raise ValueError(f"builtin {name} takes no parameters")
-        return name, pkg.from_vector(DEMO_STATES[name])
+        return name, DEMO_STATES[name]
+    # (builder, argument count) per family, read per call: a tracer may rebind the names
+    circuits = {"ghz": (ghz, 1), "qft": (qft, 1), "random": (random_circuit, 3)}
+    build, arity = circuits.get(name, (None, None))
+    if len(params) != arity:
+        raise ValueError(f"unknown builtin source {spec!r}")
     try:
-        if name == "ghz" and len(spec) == 2:
-            n = int(spec[1])
-            return f"ghz_{n}", simulate(ghz(n), pkg)
-        if name == "qft" and len(spec) == 2:
-            n = int(spec[1])
-            return f"qft_{n}", simulate(qft(n), pkg)
-        if name == "random" and len(spec) == 4:
-            n, depth, seed = (int(s) for s in spec[1:])
-            return f"random_{n}_{depth}_{seed}", simulate(random_circuit(n, depth, seed), pkg)
+        ints = [int(p) for p in params]
+        return "_".join([name, *map(str, ints)]), build(*ints)
     except ValueError as exc:
         raise ValueError(f"bad builtin arguments {spec!r}: {exc}") from None
-    raise ValueError(f"unknown builtin source {spec!r}")
+
+
+def _build_state(args, scheme: Scheme) -> tuple[str, StateDD]:
+    """The benchmark name and the state named by `args`, built in a new
+    package once `scheme`'s level, which every grid value shares, is known
+    to fit its qubit count."""
+    benchmark, source = _source(args)
+    circuit = isinstance(source, Circuit)
+    if isinstance(scheme, TargetFidelity):
+        scheme.levels(source.n if circuit else len(source).bit_length() - 1)
+    pkg = DDPackage()
+    return benchmark, simulate(source, pkg) if circuit else pkg.from_vector(source)
 
 
 def _parse_level(text: str):
@@ -157,8 +167,7 @@ def _human_row(benchmark: str, scheme: Scheme, report) -> str:
 
 def _cmd_run(args) -> int:
     scheme = _make_scheme(args)
-    pkg = DDPackage()
-    benchmark, state = _build_state(pkg, args)
+    benchmark, state = _build_state(args, scheme)
     if args.dot_before:
         Path(args.dot_before).write_text(state.to_dot(), encoding="utf-8")
     out, report = apply_scheme(state, scheme)
@@ -179,8 +188,7 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ValueError("--grid must list at least one value")
     schemes = [_make_scheme(args, override=value) for value in values]
-    pkg = DDPackage()
-    benchmark, state = _build_state(pkg, args)
+    benchmark, state = _build_state(args, schemes[0])
     rows = []
     failed = False
     for scheme in schemes:

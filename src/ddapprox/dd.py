@@ -28,12 +28,11 @@ which makes the per-gate norm check of ``simulate`` constant-time and
 recursion-free.
 
 A package and its states are a single-threaded unit; no query is safe to run
-concurrently with another. The first analysis call on a state writes its
-level-array view (``StateDD.view``) to the state; every path-sampling call
-writes its visit counts, and the first one its forced-chain arrays, to that
-view's walk cache (``LevelView.walks``); and ``amplitude``,
-``inner_product`` and ``renormalize`` insert values into the package's value
-table.
+concurrently with another. No query writes the value table or the unique
+table, but the first analysis call on a state writes its level-array view
+(``StateDD.view``) to the state, and every path-sampling call writes its
+visit counts, and the first one its forced-chain arrays, to that view's walk
+cache (``LevelView.walks``).
 
 The calls that allocate package objects in bulk (``simulate``,
 ``DDPackage.from_vector``, ``apply_scheme`` and so every ``approx_*`` call,
@@ -84,6 +83,7 @@ class _Terminal:
 
     __slots__ = ()
     mass = 1.0
+    fixed = True
 
     def __repr__(self) -> str:
         return "<terminal>"
@@ -99,11 +99,17 @@ class Node:
     path from it down to the terminal, without the weight on the edge into
     it. It is set once, here, as |w0|^2 * mass(t0) + |w1|^2 * mass(t1), where
     the terminal's mass is 1.0 and a zero-stub adds 0.0.
+
+    ``fixed`` is True when the node is a fixed point of ``make_node``:
+    calling it again on the node's own successors returns ``Edge(node,
+    table.one)`` and writes neither table. ``make_node`` decides it when it
+    creates the node; a node built by hand is not fixed, so rebuilding it is
+    always safe.
     """
 
-    __slots__ = ("level", "succ0", "succ1", "uid", "mass")
+    __slots__ = ("level", "succ0", "succ1", "uid", "mass", "fixed")
 
-    def __init__(self, level: int, succ0: "Edge", succ1: "Edge", uid: int):
+    def __init__(self, level: int, succ0: "Edge", succ1: "Edge", uid: int, fixed: bool = False):
         self.level = level
         self.succ0 = succ0
         self.succ1 = succ1
@@ -111,6 +117,7 @@ class Node:
         self.mass = sqr_mag(succ0.weight) * succ0.target.mass + sqr_mag(
             succ1.weight
         ) * succ1.target.mass
+        self.fixed = fixed
 
     def __repr__(self) -> str:
         return f"<node q{self.level} #{self.uid}>"
@@ -195,12 +202,21 @@ class DDPackage:
         key = (level, t0, w0, t1, w1)
         node = self._unique.get(key)
         if node is None:
+            # Node.fixed: would these final weights come back unchanged? One
+            # live weight does when its magnitude is exactly 1; two do when
+            # `one` still wins the comparison above (ties go to succ0).
+            if w0 is zero or w1 is zero:
+                live = w1 if w0 is zero else w0
+                fixed = math.hypot(live.re, live.im) == 1.0
+            else:
+                fixed = sqr_mag(w1) <= 1.0 if w0 is t.one else sqr_mag(w0) < 1.0
             stub = self.zero_stub
             node = Node(
                 level,
                 stub if w0 is zero else Edge(t0, w0),
                 stub if w1 is zero else Edge(t1, w1),
                 self._next_uid,
+                fixed,
             )
             self._next_uid += 1
             self._unique[key] = node
@@ -333,23 +349,11 @@ class LevelView:
     on a deeper level, so passes over the diagram can go one whole level at
     a time, bottom-up or top-down.
 
-    ``up[i]`` is node ``i``'s upstream mass, ``nodes[i].mass``, gathered
-    once for every pass over the view to read; the sentinel entry is the
-    terminal's 1.0.
-
-    ``fixed[i]`` is True when node ``i`` is a fixed point of ``make_node``:
-    calling it on the node's own successors returns ``Edge(node, table.one)``
-    and adds nothing to either table. A two-successor node is one when ``w0
-    is one and |w1|^2 <= 1`` or ``w1 is one and |w0|^2 < 1`` (it is already
-    divided by its larger weight, ties to the 0-successor); a one-successor
-    node when its live weight has ``math.hypot`` exactly 1. Nodes whose
-    weights tie in magnitude only up to rounding fail both tests. The
-    table's ``one`` and ``zero`` are told by their coordinates, (1, 0) and
-    (0, 0): ``ComplexTable.lookup`` returns them for exactly those
-    coordinates (either sign of zero) and never stores another value there.
-    The mask is read off the node's own weights alone, so it assumes the
-    nodes are still in the unique table, as they are unless
-    ``collect_garbage`` dropped the state. The sentinel entry is True.
+    ``up[i]`` and ``fixed[i]`` gather node ``i``'s ``mass`` and ``fixed``
+    once for every pass over the view to read; the sentinel entries are the
+    terminal's 1.0 and True. A fixed node comes back from ``make_node`` as
+    itself only while the unique table holds it, as it does unless
+    ``collect_garbage`` dropped the state.
 
     ``walks`` is the path sampler's cache, None until the state is first
     sampled; only ``analysis`` writes it (see ``analysis._visit_counts``).
@@ -378,17 +382,11 @@ class LevelView:
         lv = [v.level for v in nodes]
         cuts = [i for i in range(1, m) if lv[i] != lv[i - 1]]
         self.levels = {lv[a]: slice(a, b) for a, b in zip([0, *cuts], [*cuts, m]) if a < b}
-        up = np.fromiter(map(attrgetter("mass"), [*nodes, TERMINAL]), np.float64, m + 1)
-        up.flags.writeable = False
-        self.up = up
-        one = (re == 1.0) & (im == 0.0)
-        zero = (re == 0.0) & (im == 0.0)
-        fixed = np.append((one[:, 0] & (mag[:, 1] <= 1.0)) | (one[:, 1] & (mag[:, 0] < 1.0)), True)
-        for i in np.flatnonzero(zero.any(axis=1)).tolist():
-            b = int(zero[i, 0])  # the live slot
-            fixed[i] = math.hypot(re[i, b], im[i, b]) == 1.0
-        fixed.flags.writeable = False
-        self.fixed = fixed
+        every = [*nodes, TERMINAL]
+        up = np.fromiter(map(attrgetter("mass"), every), np.float64, m + 1)
+        fixed = np.fromiter(map(attrgetter("fixed"), every), bool, m + 1)
+        up.flags.writeable = fixed.flags.writeable = False
+        self.up, self.fixed = up, fixed
         self.walks = None
 
 
@@ -413,6 +411,7 @@ def _dense(node: Node, n: int, memo: dict[Node, np.ndarray]) -> np.ndarray:
     half = 1 << (n - node.level - 1)
     parts = []
     for e in (node.succ0, node.succ1):
+        # a (0, 0) weight adds nothing, whichever value holds it
         if e.weight.re == 0.0 and e.weight.im == 0.0:
             parts.append(np.zeros(half, dtype=np.complex128))
         elif e.target is TERMINAL:
@@ -450,24 +449,25 @@ class StateDD:
         mass kept on the root node. It walks nothing."""
         return math.sqrt(_mass(self.root))
 
-    def amplitude(self, basis: str) -> ComplexValue:
-        """Product of edge weights along the path selected by `basis`.
+    def amplitude(self, basis: str) -> complex:
+        """Product of edge weights along the path selected by `basis`, as a
+        plain complex; 0j where a zero-stub cuts the path.
 
         `basis` is a string of n characters '0'/'1'; position l picks the
         successor at level l (q0 first).
         """
         if len(basis) != self.n:
             raise ValueError(f"basis string must have length {self.n}")
-        t = self.package.table
-        w = self.root.weight
+        if basis.strip("01"):
+            raise ValueError(f"basis string must be over '0'/'1', got {basis!r}")
+        zero = self.package.table.zero
+        w = self.root.weight.as_complex()
         node = self.root.target
         for ch in basis:
-            if ch not in "01":
-                raise ValueError(f"basis string must be over '0'/'1', got {basis!r}")
-            if node is TERMINAL:  # a zero-stub cut the path early
-                return t.zero
             e = node.succ1 if ch == "1" else node.succ0
-            w = t.mul(w, e.weight)
+            if e.weight is zero:
+                return 0j
+            w *= e.weight.as_complex()
             node = e.target
         return w
 

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from .complex_table import ComplexValue
 from .dd import TERMINAL, Edge, StateDD, _gc_paused
 
 
 @_gc_paused
-def inner_product(a: StateDD, b: StateDD) -> ComplexValue:
+def inner_product(a: StateDD, b: StateDD) -> complex:
     """<a|b>, the conjugated dot product, via pairwise recursion.
 
     Sub-results are memoized on node pairs with the edge weights factored
@@ -16,10 +15,9 @@ def inner_product(a: StateDD, b: StateDD) -> ComplexValue:
     expanded: its self-overlap is its mass (`Node.mass`), the same float the
     expansion would sum, so states that share nodes, such as an
     approximation and its input, stop at the first shared node. The result
-    is canonicalized in `a`'s package.
+    is a plain complex; neither package's tables are written.
     """
-    v, _ = _inner_product(a, b)
-    return a.package.table.lookup(v.real, v.imag)
+    return _inner_product(a, b)[0]
 
 
 @_gc_paused
@@ -41,7 +39,7 @@ def _inner_product(a: StateDD, b: StateDD) -> tuple[complex, int]:
 
 def _ip(ea: Edge, eb: Edge, memo: dict[tuple, complex]) -> complex:
     wa, wb = ea.weight, eb.weight
-    # the canonical zero is the only stored value with both components 0.0
+    # a (0, 0) weight adds nothing, whichever value holds it
     if (wa.re == 0.0 and wa.im == 0.0) or (wb.re == 0.0 and wb.im == 0.0):
         return 0j
     factor = complex(wa.re, -wa.im) * complex(wb.re, wb.im)

@@ -11,12 +11,14 @@ at a time, in plain Python dicts: the straightforward form of the analysis
 passes that the package computes level-wise over arrays. They compute every
 float with the same operations in the same order, so results compare with
 `==`. `budget_prefix_ref` is the target-fidelity selection as a sorted
-running sum. `eliminate_ref` is elimination without the kept-subdiagram
-shortcut: it re-reduces every reachable node through `make_node`, and its
-norm walks the whole result with `upstream_ref`, not the masses kept on the
-nodes. `inner_product_ref` is the pairwise overlap recursion expanded down to
-the terminal, without the shortcut the package takes where both sides reach
-one shared node.
+running sum. `fixed_ref` tells the fixed points of `make_node` from the
+coordinates of each node's weights, not from the verdict `make_node` keeps.
+`eliminate_ref` is elimination without the kept-subdiagram shortcut: it
+re-reduces every reachable node through `make_node`, and its norm walks the
+whole result with `upstream_ref`, not the masses kept on the nodes.
+`inner_product_ref` is the pairwise overlap recursion expanded down to the
+terminal, without the shortcut the package takes where both sides reach one
+shared node.
 
 `ComplexTable` is the value table as a scan of the nine ``tol``-wide
 buckets around each query, with one list per bucket: the straightforward
@@ -140,6 +142,34 @@ def eliminate_dense(vec, zero_mask):
     if nrm == 0.0:
         raise ValueError("mask removed everything")
     return out / nrm
+
+
+def level_size_bounds(vec):
+    """Per level l < n, the fewest and the most nodes a diagram of `vec` can
+    hold on level l: the nonzero 2**(n - l)-entry slices of `vec` that are
+    distinct up to a complex factor (two unit slices u and v are alike when
+    |<u|v>| is 1 within 1e-9), and all of its nonzero slices.
+
+    A node stands for one slice up to a factor, and every path prefix leads
+    to one node, so a diagram's level size lies in between however it was
+    built. Where it lies depends on the build: a node with one live
+    successor keeps that successor's phase, so `from_vector` gives [a, 0]
+    and [a * 1j, 0] two nodes, where a phase gate on a simulated state can
+    leave them one."""
+    n = len(vec).bit_length() - 1
+    out = []
+    for level in range(n):
+        reps, live = [], 0
+        for part in np.reshape(vec, (1 << level, -1)):
+            nrm = np.linalg.norm(part)
+            if nrm < 1e-9:
+                continue
+            live += 1
+            unit = part / nrm
+            if all(abs(np.vdot(r, unit)) < 1.0 - 1e-9 for r in reps):
+                reps.append(unit)
+        out.append((len(reps), live))
+    return out
 
 
 def doomed_mask(dd, doomed):
@@ -272,6 +302,31 @@ def eliminate_ref(dd, doomed):
     return StateDD(dd.n, Edge(root.target, w), pkg)
 
 
+def fixed_ref(view):
+    """`LevelView.fixed` re-derived from the weight coordinates of each node
+    of `view`, with the terminal's True appended.
+
+    `ComplexTable.lookup` returns the table's one and zero for exactly the
+    coordinates (1, 0) and (0, 0), either sign of zero, and stores no other
+    value there. A node with one live weight is a fixed point of `make_node`
+    when that weight's `math.hypot` is exactly 1; a node with two when w0 is
+    one and |w1|^2 <= 1, or w1 is one and |w0|^2 < 1 (it is already divided
+    by its larger weight, ties to the 0-successor)."""
+
+    def at(w, re):
+        return w.re == re and w.im == 0.0
+
+    out = []
+    for v in view.nodes:
+        w0, w1 = v.succ0.weight, v.succ1.weight
+        if at(w0, 0.0) or at(w1, 0.0):
+            live = w1 if at(w0, 0.0) else w0
+            out.append(math.hypot(live.re, live.im) == 1.0)
+        else:
+            out.append((at(w0, 1.0) and _mag2(w1) <= 1.0) or (at(w1, 1.0) and _mag2(w0) < 1.0))
+    return np.array([*out, True])
+
+
 def inner_product_ref(a, b):
     """<a|b> as a Python complex: the pairwise recursion `_ip` below,
     memoized on node pairs, that expands every pair down to the terminal."""
@@ -280,7 +335,7 @@ def inner_product_ref(a, b):
 
 def _ip(ea: Edge, eb: Edge, memo: dict[tuple, complex]) -> complex:
     wa, wb = ea.weight, eb.weight
-    # the canonical zero is the only stored value with both components 0.0
+    # a (0, 0) weight adds nothing, whichever value holds it
     if (wa.re == 0.0 and wa.im == 0.0) or (wb.re == 0.0 and wb.im == 0.0):
         return 0j
     factor = complex(wa.re, -wa.im) * complex(wb.re, wb.im)

@@ -70,7 +70,7 @@ def test_criterion_2_amplitude_path_product():
     dd = pkg.from_vector(DEMO_VECTOR)
     amp = dd.amplitude("111")
     want = -1 / math.sqrt(10.0)
-    ok = abs(amp.re - want) < 1e-12 and amp.im == 0.0
+    ok = abs(amp.real - want) < 1e-12 and amp.imag == 0.0
     _report(2, 'amplitude("111") = -1/sqrt(10) within 1e-12', ok)
 
 

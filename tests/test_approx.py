@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from ddapprox import (
     DDPackage,
     Edge,
+    Node,
     PerLevelFidelity,
     Sampling,
+    TERMINAL,
     TargetFidelity,
     Threshold,
     ZeroStateError,
@@ -28,6 +30,7 @@ from ddapprox import (
     simulate,
 )
 from ddapprox.approx import _budget_prefixes, _eliminate
+from ddapprox.dd import LevelView
 from conftest import DEMO_VECTOR, DEMO_APPROX_VECTOR, demo_nodes
 
 import dense_ref
@@ -261,6 +264,7 @@ def test_fixed_nodes_are_fixed_points_of_make_node():
         twin = DDPackage()
         nodes = build(twin).view.nodes  # same order, uids and weights
         assert view.fixed[:-1].any()  # the last entry is the terminal's
+        assert np.array_equal(view.fixed, dense_ref.fixed_ref(view))
         for v, fixed in zip(nodes, view.fixed.tolist()):
             if fixed:
                 sizes = (len(twin.table), twin.unique_table_size())
@@ -273,6 +277,14 @@ def test_fixed_nodes_are_fixed_points_of_make_node():
     for v in ties:
         assert not dd.view.fixed[dd.view.index[v]]
         assert pkg.make_node(v.level, v.succ0, v.succ1) != Edge(v, pkg.table.one)
+
+
+def test_hand_built_node_is_not_fixed():
+    pkg = DDPackage()
+    fixed = pkg.make_node(0, Edge(TERMINAL, pkg.table.one), pkg.zero_stub).target
+    twin = Node(0, fixed.succ0, fixed.succ1, uid=-1)
+    assert fixed.fixed and not twin.fixed
+    assert LevelView([twin]).fixed.tolist() == [False, True]
 
 
 def test_apply_scheme_dispatch(pkg):

@@ -217,7 +217,7 @@ def test_exit_code_usage_errors(capsys):
 def test_bad_grid_value_exits_before_the_state_is_built(capsys, monkeypatch):
     import ddapprox.cli as cli
 
-    def build_state(pkg, args):
+    def build_state(args, scheme):
         raise AssertionError("the state was built before the grid was checked")
 
     monkeypatch.setattr(cli, "_build_state", build_state)
@@ -228,6 +228,42 @@ def test_bad_grid_value_exits_before_the_state_is_built(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "abc" in err
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    import ddapprox.cli as cli
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("the state was simulated before --level was checked")
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+
+
+def test_level_out_of_range_exits_before_simulation(capsys, tmp_path, no_simulation):
+    code, out, err = run_cli(
+        capsys, "sweep", "--builtin", "random", "12", "40", "7",
+        "--scheme", "target-fidelity", "--level", "99", "--grid", "0.9",
+    )
+    assert (code, out) == (2, "")
+    assert "level must lie in [0, 12)" in err
+    circuit = tmp_path / "four.qc"
+    circuit.write_text("qubits 4\nh 0\ncx 0 3\n", encoding="utf-8")
+    dot = tmp_path / "before.dot"
+    code, out, err = run_cli(
+        capsys, "run", "--circuit", str(circuit), "--scheme", "target-fidelity",
+        "--fidelity", "0.9", "--level", "4", "--dot-before", str(dot),
+    )
+    assert (code, out) == (2, "")
+    assert "level must lie in [0, 4)" in err
+    assert not dot.exists()
+    fig2 = ("run", "--builtin", "fig2", "--scheme", "target-fidelity", "--fidelity", "0.5")
+    code, _, err = run_cli(capsys, *fig2, "--level", "3")
+    assert code == 2
+    assert "level must lie in [0, 3)" in err
+    code, out, _ = run_cli(capsys, *fig2, "--level", "2")
+    assert code == 0
+    assert out.startswith("fig2:")
 
 
 def test_usage_error_writes_no_dot_file(capsys, tmp_path):

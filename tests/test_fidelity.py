@@ -26,8 +26,8 @@ def test_worked_overlap_pair(pkg):
     a = pkg.from_vector(DEMO_VECTOR)
     b = pkg.from_vector(DEMO_APPROX_VECTOR)
     ip = inner_product(a, b)
-    assert ip.re == pytest.approx(4 / math.sqrt(20.0), abs=1e-12)
-    assert ip.im == 0.0
+    assert ip.real == pytest.approx(4 / math.sqrt(20.0), abs=1e-12)
+    assert ip.imag == 0.0
     assert fidelity(a, b) == pytest.approx(0.8, abs=1e-12)
     assert fidelity(b, a) == fidelity(a, b)
 
@@ -36,7 +36,7 @@ def test_self_overlap_is_one(pkg):
     rng = np.random.default_rng(9)
     for n in (1, 3, 6):
         dd = pkg.from_vector(dense_ref.random_state(rng, n))
-        assert inner_product(dd, dd).re == pytest.approx(1.0, abs=1e-10)
+        assert inner_product(dd, dd).real == pytest.approx(1.0, abs=1e-10)
         assert fidelity(dd, dd) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -44,7 +44,7 @@ def test_orthogonal_basis_states(pkg):
     a = pkg.from_vector([1, 0, 0, 0])
     b = pkg.from_vector([0, 0, 0, 1])
     assert fidelity(a, b) == 0.0
-    assert inner_product(a, b) is pkg.table.zero
+    assert inner_product(a, b) == 0j
 
 
 def test_qubit_count_mismatch(pkg):
@@ -63,7 +63,7 @@ def test_matches_dense_oracle_on_random_pairs(pkg):
         a, b = pkg.from_vector(u), pkg.from_vector(v)
         want = dense_ref.fidelity_dense(u, v)
         assert abs(fidelity(a, b) - want) < 1e-10
-        got_ip = inner_product(a, b).as_complex()
+        got_ip = inner_product(a, b)
         assert got_ip == pytest.approx(complex(np.vdot(u, v)), abs=1e-10)
 
 
@@ -149,4 +149,4 @@ def test_overlaps_with_approximations_equal_the_full_recursion(kind, n, seed, sc
         assert _bits(_inner_product(a, b)[0]) == _bits(want)
         f = want.real * want.real + want.imag * want.imag
         assert fidelity(a, b) == (f if f < 1.0 else 1.0)
-        assert inner_product(a, b) is pkg.table.lookup(want.real, want.imag)
+        assert _bits(inner_product(a, b)) == _bits(want)

@@ -1,11 +1,13 @@
 """A model-based test of one long-lived package.
 
 One `DDPackage` is driven through a drawn sequence of builds, the four
-schemes, eliminations, path samplings and garbage collections. Every live
-state keeps a dense numpy mirror. After every step each live state must
-validate, match its mirror, and have contributions summing to 1 on every
-level. Each approximation must also meet the schemes' contract: its
-fidelity floor, and an attained fidelity equal to the kept mass.
+schemes, eliminations, path samplings, queries and garbage collections.
+Every live state keeps a dense numpy mirror. After every step each live
+state must validate, match its mirror, and have contributions summing to 1
+on every level. Each approximation must also meet the schemes' contract:
+its fidelity floor, and an attained fidelity equal to the kept mass. Each
+query must agree with the mirrors and leave the value table and the unique
+table as large as it found them.
 """
 
 import numpy as np
@@ -23,6 +25,8 @@ from ddapprox import (
     apply_scheme,
     contributions,
     eliminate,
+    fidelity,
+    inner_product,
     nodes_by_level,
     random_circuit,
     reachable_nodes,
@@ -67,7 +71,14 @@ class PackageMachine(RuleBasedStateMachine):
     def pick(self, data):
         return self.live[data.draw(st.integers(0, len(self.live) - 1))]
 
-    @rule(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), p=st.sampled_from((0.0, 0.5, 0.9)))
+    def query(self, call, *args):
+        """`call(*args)`, checked to add nothing to either table."""
+        before = len(self.pkg.table), self.pkg.unique_table_size()
+        out = call(*args)
+        assert (len(self.pkg.table), self.pkg.unique_table_size()) == before
+        return out
+
+    @rule(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), p=st.sampled_from((0.0, 0.5, 0.9)))
     def build_vector(self, n, seed, p):
         rng = np.random.default_rng(seed)
         vec = dense_ref.random_state(rng, n)
@@ -77,7 +88,7 @@ class PackageMachine(RuleBasedStateMachine):
         vec /= np.linalg.norm(vec)
         self.live.append((self.pkg.from_vector(vec), vec))
 
-    @rule(n=st.integers(1, 5), depth=st.integers(0, 8), seed=st.integers(0, 2**16))
+    @rule(n=st.integers(1, 6), depth=st.integers(0, 8), seed=st.integers(0, 2**16))
     def build_circuit(self, n, depth, seed):
         circuit = random_circuit(n, depth, seed)
         self.live.append((simulate(circuit, self.pkg), dense_ref.simulate_dense(circuit)))
@@ -134,7 +145,40 @@ class PackageMachine(RuleBasedStateMachine):
     @rule(data=st.data(), walks=st.integers(1, 200), seed=SEEDS)
     def sample(self, data, walks, seed):
         dd, _ = self.pick(data)
-        assert sample_paths(dd, walks, seed).counts == dense_ref.replay_walks(dd, walks, seed)
+        visits = self.query(sample_paths, dd, walks, seed)
+        assert visits.counts == dense_ref.replay_walks(dd, walks, seed)
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def amplitude(self, data):
+        dd, vec = self.pick(data)
+        i = data.draw(st.integers(0, len(vec) - 1))
+        amp = self.query(dd.amplitude, format(i, f"0{dd.n}b"))
+        assert type(amp) is complex
+        assert abs(amp - vec[i]) < 1e-9
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def overlap(self, data):
+        a, u = self.pick(data)
+        b, v = data.draw(st.sampled_from([s for s in self.live if s[0].n == a.n]))
+        ip = self.query(inner_product, a, b)
+        assert type(ip) is complex
+        assert abs(ip - np.vdot(u, v)) < 1e-9
+        assert abs(self.query(fidelity, a, b) - dense_ref.fidelity_dense(u, v)) < 1e-9
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def render(self, data):
+        dd, vec = self.pick(data)
+        size = self.query(dd.size)
+        levels = self.query(nodes_by_level, dd)
+        assert size == sum(map(len, levels.values()))
+        for level, (low, high) in enumerate(dense_ref.level_size_bounds(vec)):
+            assert low <= len(levels.get(level, ())) <= high
+        dot = self.query(dd.to_dot)
+        assert dot.count("shape=circle") == size
+        assert dot.count(" -> ") == 2 * size + 1  # the root edge, then two per node
 
     @precondition(lambda self: self.live)
     @rule(data=st.data())
@@ -148,10 +192,10 @@ class PackageMachine(RuleBasedStateMachine):
     @invariant()
     def live_states_hold(self):
         for dd, vec in self.live:
-            dd.validate()
-            assert np.allclose(dd.to_vector(), vec, rtol=0.0, atol=1e-9)
-            contrib = contributions(dd)
-            for group in nodes_by_level(dd).values():
+            self.query(dd.validate)
+            assert np.allclose(self.query(dd.to_vector), vec, rtol=0.0, atol=1e-9)
+            contrib = self.query(contributions, dd)
+            for group in self.query(nodes_by_level, dd).values():
                 assert abs(sum(contrib[v] for v in group) - 1.0) < 1e-9
 
 
