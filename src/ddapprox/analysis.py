@@ -17,10 +17,11 @@ every pass reads it; the downstream is pushed top-down from the root. Every
 float comes from the same operations in the same order as in a node-by-node
 pass, so the results match such a pass bit for bit.
 
-Path sampling keeps its cache on the view as well (`LevelView.walks`): the
-last seed's visit counts, so a sweep walks each path once, and, per node,
-where a walk lands after the chain of forced branches below it (`_chains`),
-so a walk moves only between nodes that take a draw.
+Path sampling takes walks 0..L-1 on every call, so its counts depend on
+nothing but (state, L, seed). The view keeps only what the state alone
+fixes (`LevelView.chains`): per node, where a walk lands after the chain of
+forced branches below it (`_chains`), so a walk moves only between nodes
+that take a draw.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .complex_table import sqr_mag
 from .dd import TERMINAL, LevelView, Node, StateDD
-from .rng import _MASK64, derive_seeds, draw_array
+from .rng import derive_seeds, draw_array
 
 
 def _downstream(dd: StateDD) -> np.ndarray:
@@ -83,7 +84,7 @@ def nodes_by_level(dd: StateDD) -> dict[int, list[Node]]:
 
 
 #: Walks advanced together; bounds the walk kernel's memory for any walk count.
-_WALK_BLOCK = 1 << 16
+_WALK_BLOCK = 1 << 14
 #: The largest 53-bit draw, as a float (exact).
 _DRAW_MAX = float((1 << 53) - 1)
 
@@ -118,36 +119,18 @@ def sample_paths(dd: StateDD, traversals: int, seed: int) -> VisitCounts:
     branch is forced no draw is taken and the walk skips the whole forced
     chain at once; the counts are those of walking every node.
 
-    The counts of the last seed sampled (modulo 2**64) are kept on the
-    state's view (`LevelView.walks`) with the last walk count asked for. A
-    call with that seed for at least that many walks takes only the new
-    walks and adds their counts; a call for fewer walks them all again, and
-    a call with another seed walks afresh and replaces the kept counts.
-    Either way the counts are the same integers as a fresh run, and the view
-    keeps one count array at most.
+    The state's view keeps the `_chains` arrays, built on its first
+    sampling call (`LevelView.chains`), and no counts: every call takes
+    walks 0..traversals-1 afresh.
     """
     if traversals < 1:
         raise ValueError("traversals must be at least 1")
-    return VisitCounts(dd.view.nodes, _visit_counts(dd.view, traversals, seed), traversals, seed)
-
-
-def _visit_counts(view: LevelView, traversals: int, seed: int) -> np.ndarray:
-    """Read-only visit count per view node index over walks 0..traversals-1.
-
-    `view.walks` holds (chains, seed, walks done, counts): the `_chains`
-    arrays, built on the view's first sampling call and kept, and the last
-    seed's counts, extended when more walks are asked for and replaced when
-    fewer are or the seed differs.
-    """
-    key = seed & _MASK64
-    chains, last, done, counts = view.walks or (_chains(view), None, 0, None)
-    if last != key or traversals < done:
-        done, counts = 0, np.zeros(len(view.nodes), dtype=np.int64)
-    if traversals > done:
-        counts = counts + _walk(view, chains, key, done, traversals)
-        counts.flags.writeable = False
-        view.walks = (chains, key, traversals, counts)
-    return counts
+    view = dd.view
+    if view.chains is None:
+        view.chains = _chains(view)
+    counts = _walk(view, seed, traversals)
+    counts.flags.writeable = False
+    return VisitCounts(view.nodes, counts, traversals, seed)
 
 
 def _chains(view: LevelView) -> tuple:
@@ -183,11 +166,11 @@ def _chains(view: LevelView) -> tuple:
     return thr, jump, steps, push
 
 
-def _walk(view: LevelView, chains: tuple, seed: int, start: int, stop: int) -> np.ndarray:
-    """Visit count per view node index over walks start..stop-1.
+def _walk(view: LevelView, seed: int, traversals: int) -> np.ndarray:
+    """Visit count per view node index over walks 0..traversals-1.
 
     Walks advance together in blocks of `_WALK_BLOCK` walks, and each one
-    sits only on nodes that take a draw (`chains`, the view's `_chains`
+    sits only on nodes that take a draw (`view.chains`, the `_chains`
     arrays). A walk carries its own step index `k`: at a draw node i it
     takes its k-th draw, which picks edge e = 2i (0-side) or 2i + 1
     (1-side), row i of `view.succ` raveled, moves on to the `jump` of that
@@ -201,12 +184,12 @@ def _walk(view: LevelView, chains: tuple, seed: int, start: int, stop: int) -> n
     m = len(view.nodes)
     counts = np.zeros(m + 1, dtype=np.int64)  # the sentinel counts the terminal
     if m:
-        thr, jump, steps, push = chains
+        thr, jump, steps, push = view.chains
         succ = view.succ.ravel()  # edge 2i + b
         edge_jump, edge_steps = jump[succ], steps[succ]
         taken = np.zeros(2 * m, dtype=np.int64)
-        for first in range(start, stop, _WALK_BLOCK):
-            states = derive_seeds(seed, first, min(first + _WALK_BLOCK, stop))
+        for first in range(0, traversals, _WALK_BLOCK):
+            states = derive_seeds(seed, first, min(first + _WALK_BLOCK, traversals))
             counts[0] += states.size  # every walk enters the root
             at = np.full(states.size, jump[0])
             k = np.full(states.size, steps[0], dtype=np.uint64)

@@ -276,8 +276,6 @@ def random_circuit(n: int, depth: int, seed: int) -> Circuit:
     [0, 2pi)); odd layers place a single cz on a random pair (two draws,
     modulo n and n - 1).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     rng = SplitMix64(seed)

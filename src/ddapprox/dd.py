@@ -27,21 +27,31 @@ is built. A state's norm is then read off its root edge without a walk,
 which makes the per-gate norm check of ``simulate`` constant-time and
 recursion-free.
 
-A package and its states are a single-threaded unit; no query is safe to run
-concurrently with another. No query writes the value table or the unique
-table, but the first analysis call on a state writes its level-array view
-(``StateDD.view``) to the state, and every path-sampling call writes its
-visit counts, and the first one its forced-chain arrays, to that view's walk
-cache (``LevelView.walks``).
+Only the calls that build states (building, simulating, approximating,
+``renormalize``) write the value table or the unique table, and no other
+call on the package may run while one of them does. The read-only queries
+(``amplitude``, ``to_vector``, ``fidelity``, ``inner_product``, the
+analysis passes and path sampling among them) may run concurrently on the
+states of one package. Their only writes are a state's level-array view
+(``StateDD.view``), built on its first analysis call, and the view's
+forced-chain arrays (``LevelView.chains``), built on its first sampling
+call. Each is a function of the state alone and is stored whole, so a
+racing thread at worst builds one again and gets an equal one.
 
-The calls that allocate package objects in bulk (``simulate``,
-``DDPackage.from_vector``, ``apply_scheme`` and so every ``approx_*`` call,
-``eliminate``, ``fidelity``, ``inner_product``, and the CLI's ``main``)
-pause Python's cyclic garbage collector, process-wide, while they run, and
-turn it back on when they return or raise. Nodes, edges and values form a
-DAG that reference counting frees alone, so a collection would rescan the
-package and free nothing. Cyclic garbage made by another thread meanwhile
-waits until the call returns.
+``simulate``, ``DDPackage.from_vector``, ``apply_scheme`` (and so every
+``approx_*`` call), ``eliminate`` and the CLI's ``main`` allocate package
+objects in bulk, and ``fidelity`` and ``inner_product`` build a memo of
+node pairs as large as the pairs they expand. These calls pause Python's
+cyclic garbage collector while they run, and turn it back on when they
+return or raise. Nodes, edges and values form a DAG that reference
+counting frees alone, so a collection would rescan the package and free
+nothing. Unpaused, ``fidelity`` of two disjoint 32,767-node states took
+3-4% longer (2-vCPU Xeon, Python 3.11); on states that share their nodes
+it took the same time. The pause is process-wide: while one thread runs
+such a call, cyclic garbage made by any thread waits. When such calls
+overlap in several threads, the collector comes back on when the call
+that turned it off returns, perhaps before the others do; once all have
+returned, it is as it was before the first.
 """
 
 from __future__ import annotations
@@ -355,11 +365,13 @@ class LevelView:
     itself only while the unique table holds it, as it does unless
     ``collect_garbage`` dropped the state.
 
-    ``walks`` is the path sampler's cache, None until the state is first
-    sampled; only ``analysis`` writes it (see ``analysis._visit_counts``).
+    ``chains`` holds the path sampler's forced-chain arrays, None until the
+    state is first sampled; only ``analysis.sample_paths`` writes it (see
+    ``analysis._chains``). Like every other field, it is a function of the
+    state alone.
     """
 
-    __slots__ = ("nodes", "index", "succ", "mag", "levels", "up", "fixed", "walks")
+    __slots__ = ("nodes", "index", "succ", "mag", "levels", "up", "fixed", "chains")
 
     def __init__(self, nodes: list[Node]):
         # two stable sorts on int keys: several times faster than tuple keys
@@ -387,7 +399,7 @@ class LevelView:
         fixed = np.fromiter(map(attrgetter("fixed"), every), bool, m + 1)
         up.flags.writeable = fixed.flags.writeable = False
         self.up, self.fixed = up, fixed
-        self.walks = None
+        self.chains = None
 
 
 def _mass(e: Edge) -> float:

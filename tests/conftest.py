@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ddapprox import DDPackage
+from ddapprox.analysis import _chains
 
 _S10 = math.sqrt(10.0)
 
@@ -43,3 +44,14 @@ def demo_nodes(dd):
         "q2m": q1r.succ0.target,
         "q2r": q1r.succ1.target,
     }
+
+
+def assert_view_keeps_only_chains(view):
+    """`view.chains` is exactly the `_chains` tuple: the view keeps no seed,
+    walk count or visit counts."""
+    (thr, jump, steps, push), want = view.chains, _chains(view)
+    assert np.array_equal(thr, want[0], equal_nan=True)
+    assert np.array_equal(jump, want[1]) and np.array_equal(steps, want[2])
+    assert len(push) == len(want[3])
+    for got, expect in zip(push, want[3]):
+        assert all(np.array_equal(x, y) for x, y in zip(got, expect))

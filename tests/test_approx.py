@@ -32,6 +32,7 @@ from ddapprox import (
 from ddapprox.approx import _budget_prefixes, _eliminate
 from ddapprox.dd import LevelView
 from conftest import DEMO_VECTOR, DEMO_APPROX_VECTOR, demo_nodes
+from test_package_machine import PackageMachine
 
 import dense_ref
 
@@ -489,6 +490,23 @@ def test_per_level_lower_bound_random_states(pkg, capsys):
     # recorded, not asserted: dense random states shed close to the budget
     # at every level, so the single-level target itself is rarely met
     print(f"per-level attained >= target in {reached_target}/{trials} runs")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ZeroStateError,
+    reason="per-level eliminates every level's budget prefix at once: all the mass can go",
+)
+@pytest.mark.parametrize("n, seed, p, f", [(3, 5, 0.0, 0.25), (5, 0, 0.5, 0.5)])
+def test_per_level_floor_on_package_machine_vectors(n, seed, p, f):
+    """The vectors of the package machine's `build_vector` rule on which it
+    fails: per-level must keep fidelity >= f^(n-1) here too."""
+    machine = PackageMachine()
+    machine.build_vector(n=n, seed=seed, p=p)
+    ((dd, vec),) = machine.live
+    out, report = apply_scheme(dd, PerLevelFidelity(f))
+    assert report.attained_fidelity >= f ** (n - 1)
+    assert abs(report.attained_fidelity - dense_ref.kept_mass(vec, out.to_vector())) < 1e-9
 
 
 def test_determinism_same_inputs_same_output(pkg):

@@ -1,6 +1,8 @@
 import gc
 import importlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from ddapprox import (
     sample_paths,
     simulate,
 )
-from conftest import DEMO_VECTOR, demo_nodes
+from conftest import DEMO_VECTOR, assert_view_keeps_only_chains, demo_nodes
 
 import dense_ref
 
@@ -331,11 +333,11 @@ def _exercise_public_calls() -> None:
     sample_paths(dd, 32, 3)
     fresh = pkg.from_vector(DEMO_VECTOR)
     contributions(fresh)
-    assert fresh.view.walks is None  # only sampling fills the walk cache
+    assert fresh.view.chains is None  # only sampling builds the chain arrays
     for traversals in (32, 64, 64, 16):
         sample_paths(fresh, traversals, 3)
         approx_threshold(fresh, traversals, 4, seed=-1)
-    assert fresh.view.walks[1] == 2**64 - 1  # the last seed only
+    assert_view_keeps_only_chains(fresh.view)
     try:  # not pytest.raises: its ExceptionInfo would hold this frame in a cycle
         eliminate(dd, reachable_nodes(dd))
     except ZeroStateError:
@@ -427,6 +429,66 @@ def test_nested_paused_call_keeps_the_collector_off(demo_state, monkeypatch, col
     assert report.eliminated > 0
     assert after == [False]
     assert gc.isenabled()
+
+
+def _query_tasks(states):
+    """Read-only queries over `states`, each a thunk with a comparable result."""
+    tasks = []
+    for i, dd in enumerate(states):
+        for traversals, seed in ((1, 0), (300, i), (300, -1), (20_000, 5), (7, 2**64 - 1)):
+            tasks.append(lambda dd=dd, t=traversals, s=seed: sample_paths(dd, t, s).counts)
+        tasks.append(lambda dd=dd: contributions(dd))
+        tasks.append(lambda dd=dd: dd.to_vector().tolist())
+        tasks.append(lambda dd=dd: dd.amplitude("1" * dd.n))
+        tasks.append(lambda dd=dd, other=states[i - 1]: fidelity(dd, other))
+    return tasks
+
+
+def test_queries_run_concurrently_on_one_package(collector):
+    """Eight threads interleave the read-only queries on fresh copies of
+    states of one package: every result equals the serial run's, neither
+    table grows, and the collector ends as it started."""
+    pkg = DDPackage()
+    rng = np.random.default_rng(11)
+    built = [
+        simulate(ghz(9), pkg),
+        simulate(random_circuit(9, 24, 3), pkg),
+        pkg.from_vector(dense_ref.random_state(rng, 9)),
+        pkg.from_vector(dense_ref.random_state(rng, 9)),
+    ]
+    serial = [task() for task in _query_tasks(built)]
+    sizes = len(pkg.table), pkg.unique_table_size()
+    # fresh StateDD objects: every view and chain array is built under contention
+    states = [StateDD(dd.n, dd.root, pkg) for dd in built]
+    tasks = _query_tasks(states)
+    errors = []
+    start = threading.Barrier(8)
+
+    def worker(k):
+        try:
+            start.wait(timeout=30)
+            for j in range(len(tasks)):  # each thread runs every task, in its own order
+                i = (j * 5 + k * 7) % len(tasks)
+                if tasks[i]() != serial[i]:
+                    errors.append((k, i))
+        except Exception as exc:  # reported below; a thread cannot raise into the test
+            errors.append((k, exc))
+
+    enabled = gc.isenabled()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert (len(pkg.table), pkg.unique_table_size()) == sizes
+    assert gc.isenabled() is enabled
 
 
 def test_zero_qubit_state(pkg):

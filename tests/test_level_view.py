@@ -35,6 +35,8 @@ from ddapprox.rng import (
     scramble_array,
 )
 
+from conftest import assert_view_keeps_only_chains
+
 import dense_ref
 
 
@@ -247,7 +249,7 @@ def check_cached_calls(dd, calls):
     for traversals, seed in calls:
         got = sample_paths(dd, traversals, seed).counts
         assert got == dense_ref.replay_walks(dd, traversals, seed)
-    assert dd.view.walks[1] == calls[-1][1] & _MASK64  # the last seed only
+    assert_view_keeps_only_chains(dd.view)
 
 
 def cache_example(name):
@@ -284,20 +286,20 @@ def test_forced_chain_examples(monkeypatch):
     monkeypatch.setattr(analysis, "_WALK_BLOCK", 1000)
     dd = simulate(ghz(64), DDPackage())
     check_cached_calls(dd, [(3000, 0), (1000, 5), (2500, 5)])
-    jump, steps = dd.view.walks[0][1:3]
+    jump, steps = dd.view.chains[1:3]
     assert (jump[0], steps[0]) == (0, 1)  # only the root draws
     assert steps.max() == 64  # the chains below it run to the terminal
     monkeypatch.setattr(analysis, "_WALK_BLOCK", 3)
     dd = deep_draw_state()
     check_cached_calls(dd, calls)
-    jump, steps = dd.view.walks[0][1:3]
+    jump, steps = dd.view.chains[1:3]
     assert dd.view.nodes[jump[0]].level == 4 and steps[0] == 5
     for build in (skipping_diagram, forced_skipping_diagram):
         for rng_seed in range(3):
             dd = build(np.random.default_rng(rng_seed))
             check_cached_calls(dd, calls)
     a = dd.view.index[dd.root.target.succ0.target]
-    jump, steps = dd.view.walks[0][1:3]
+    jump, steps = dd.view.chains[1:3]
     assert dd.view.nodes[jump[a]].level == 3 and steps[a] == 2
 
 
@@ -325,9 +327,9 @@ def test_walk_cache_keeps_one_seed():
     dd = DDPackage().from_vector(sparse_state(5, 4, 2, 0.3))
     for seed in range(10):
         sample_paths(dd, 100, seed)
-    assert dd.view.walks[1] == 9
+    assert_view_keeps_only_chains(dd.view)
     assert sample_paths(dd, 100, 4).counts == dense_ref.replay_walks(dd, 100, 4)
-    assert dd.view.walks[1] == 4
+    assert_view_keeps_only_chains(dd.view)
 
 
 def test_view_is_built_once_and_only_by_analysis():
@@ -338,13 +340,13 @@ def test_view_is_built_once_and_only_by_analysis():
     assert "view" not in vars(dd)
     view = dd.view
     contributions(dd)
-    # only sampling fills the walk cache and builds the forced-chain arrays
-    assert view.walks is None
+    # only sampling builds the forced-chain arrays
+    assert view.chains is None
     for traversals in (40, 100, 100, 20):
         sample_paths(dd, traversals, seed=1)
         approx_threshold(dd, traversals, 1, seed=1)
     assert dd.view is view
-    assert view.walks[1] == 1
+    assert_view_keeps_only_chains(view)
     assert [v for group in nodes_by_level(dd).values() for v in group] == view.nodes
     assert not view.succ.flags.writeable and not view.mag.flags.writeable
     assert not view.up.flags.writeable
