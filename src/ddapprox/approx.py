@@ -22,6 +22,7 @@ from typing import Iterable, Sequence, Union, get_args
 import numpy as np
 
 from .analysis import _contributions, sample_paths
+from .complex_table import sqr_mag
 from .dd import Edge, LevelView, Node, StateDD, _gc_paused, _mass, _rebuild, _rescaled
 from .errors import ZeroStateError
 from .fidelity import fidelity as state_fidelity
@@ -53,6 +54,41 @@ def _budget_prefixes(dd: StateDD, levels: Iterable[int], budget: float) -> list[
         order = np.argsort(c, kind="stable")
         cut = int(np.searchsorted(np.cumsum(c[order]), limit, side="right"))
         out.append(s.start + order[:cut])
+    return out
+
+
+def _per_level_prefixes(dd: StateDD, fidelity: float) -> list[np.ndarray]:
+    """Per level, top first, the budget prefix of `_budget_prefixes` with
+    budget 1 - fidelity, cut further so that it removes at most
+    1 - fidelity of the mass the levels above left.
+
+    The mass a level sees is that of the paths avoiding every node doomed
+    above it: the downstream is pushed top-down as in `_downstream`, with
+    each level's doomed nodes zeroed before the push. Same-level nodes
+    carve the paths into disjoint bundles, so each level keeps at least
+    `fidelity` of that mass, and the union's kept mass is at least
+    fidelity ** (number of levels below the root). Where the second cut
+    does not bind, the prefix is `_budget_prefixes`' exactly.
+    """
+    view = dd.view
+    contrib = _contributions(dd)
+    budget = 1.0 - fidelity
+    down = np.zeros(len(view.nodes) + 1)
+    down[0] = sqr_mag(dd.root.weight)
+    out = []
+    for s in view.levels.values():
+        seen = down[s] * view.up[s]
+        c = contrib[s]
+        order = np.argsort(c, kind="stable")
+        limits = budget - _BUDGET_SLACK, budget * seen.sum() - _BUDGET_SLACK
+        cut = min(
+            int(np.searchsorted(np.cumsum(x[order]), limit, side="right"))
+            for x, limit in zip((c, seen), limits)
+        )
+        doomed = s.start + order[:cut]
+        out.append(doomed)
+        down[doomed] = 0.0
+        np.add.at(down, view.succ[s].ravel(), (down[s, None] * view.mag[s]).ravel())
     return out
 
 
@@ -151,10 +187,12 @@ class PerLevelFidelity:
     """The same budgeted elimination applied to every level at once.
 
     Each level's ascending prefix is chosen on the original state's
-    contribution map, the union is eliminated once, and the attained
-    fidelity is bounded below by fidelity ** (n - 1): the root level can
-    never shed its single full-mass node, and each remaining level keeps
-    at least `fidelity` of the mass it sees.
+    contribution map, cut where it would remove more than 1 - fidelity of
+    the mass the levels above leave (`_per_level_prefixes`), and the union
+    is eliminated once. The attained fidelity is bounded below by
+    fidelity ** (n - 1): the root level can never shed its single
+    full-mass node, and each remaining level keeps at least `fidelity` of
+    the mass it sees.
     """
 
     fidelity: float
@@ -170,7 +208,7 @@ class PerLevelFidelity:
 
     def candidates(self, dd: StateDD) -> list[np.ndarray]:
         """One candidate: the view indices of every level's budget prefix, top first."""
-        prefixes = TargetFidelity(self.fidelity).candidates(dd)  # one per level
+        prefixes = _per_level_prefixes(dd, self.fidelity)
         return [np.concatenate(prefixes) if prefixes else np.empty(0, np.intp)]
 
 

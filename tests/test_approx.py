@@ -492,15 +492,11 @@ def test_per_level_lower_bound_random_states(pkg, capsys):
     print(f"per-level attained >= target in {reached_target}/{trials} runs")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ZeroStateError,
-    reason="per-level eliminates every level's budget prefix at once: all the mass can go",
-)
 @pytest.mark.parametrize("n, seed, p, f", [(3, 5, 0.0, 0.25), (5, 0, 0.5, 0.5)])
 def test_per_level_floor_on_package_machine_vectors(n, seed, p, f):
-    """The vectors of the package machine's `build_vector` rule on which it
-    fails: per-level must keep fidelity >= f^(n-1) here too."""
+    """Vectors of the package machine's `build_vector` rule on which the
+    union of every level's uncut budget prefix removes all the mass:
+    per-level must keep fidelity >= f^(n-1) here too."""
     machine = PackageMachine()
     machine.build_vector(n=n, seed=seed, p=p)
     ((dd, vec),) = machine.live

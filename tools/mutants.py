@@ -81,6 +81,13 @@ TABLE = (
         ("tests/test_approx.py::test_budget_prefixes_match_sorted_running_sum",),
     ),
     Mutant(
+        "eliminate per-level's uncut union again",
+        "src/ddapprox/approx.py",
+        "        down[doomed] = 0.0\n",
+        "",
+        ("tests/test_approx.py::test_per_level_floor_on_package_machine_vectors",),
+    ),
+    Mutant(
         "do not clear the doomed entries of keep",
         "src/ddapprox/approx.py",
         "keep = view.fixed & ~dead",
