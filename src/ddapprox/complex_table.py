@@ -21,11 +21,18 @@ packed ids alias (``|j|`` past ``_STRIDE / 2``, so ``|im|`` past about 220
 at the default tolerance, far above any amplitude or gate entry) share one
 chain; since every candidate is accepted by its exact distance alone, that
 only lengthens a scan.
+
+``lookup_many`` interns a whole array of values as the same sequence of
+``lookup`` calls would, and ``quotients`` divides arrays of complex values
+bit for bit as Python's complex division does: together they let a caller
+work one level of a diagram at a time (see ``DDPackage.from_vector``).
 """
 
 from __future__ import annotations
 
 from math import floor, isfinite
+
+import numpy as np
 
 from .errors import NumericDomainError
 
@@ -158,6 +165,42 @@ class ComplexTable:
         self._count += 1
         return v
 
+    def lookup_many(self, re, im) -> list[ComplexValue]:
+        """``[lookup(x, y) for x, y in zip(re, im)]``: the same values, and
+        the same table afterwards, for float arrays `re` and `im`.
+
+        The bucket indices and edge tests are computed for the whole array
+        first. A value whose home bucket is still empty when its turn comes,
+        and which lies more than ``tol`` from that bucket's edges in both
+        coordinates, is stored there at once: ``lookup`` would scan only
+        that empty bucket and insert. Exact 0 and 1 never take that path,
+        since their home buckets hold the seeded values. Every other value
+        (near an edge, in a non-empty bucket, non-finite, or with an index
+        too large for the packed keys below) goes through ``lookup`` in
+        turn, which raises where it would.
+        """
+        re = np.asarray(re, dtype=np.float64)
+        im = np.asarray(im, dtype=np.float64)
+        w, tol = self._width, self.tol
+        with np.errstate(all="ignore"):  # non-finite values fail `fast` and reach lookup
+            i, j = np.floor(re / w), np.floor(im / w)
+            edge = ((re - tol) / w < i) | ((re + tol) / w >= i + 1)
+            edge |= ((im - tol) / w < j) | ((im + tol) / w >= j + 1)
+            # |i|, |j| < 2**31 keeps i * _STRIDE + j exact in int64
+            fast = ~edge & (np.abs(i) < 2.0**31) & (np.abs(j) < 2.0**31)
+            keys = np.where(fast, i, 0.0).astype(np.int64) * _STRIDE
+            keys += np.where(fast, j, 0.0).astype(np.int64)
+        buckets, lookup = self._buckets, self.lookup
+        out = []
+        for x, y, key, f in zip(re.tolist(), im.tolist(), keys.tolist(), fast.tolist()):
+            if f and key not in buckets:
+                v = buckets[key] = ComplexValue(x, y, self._count)
+                self._count += 1
+            else:
+                v = lookup(x, y)
+            out.append(v)
+        return out
+
     # -- canonical arithmetic -------------------------------------------
 
     def mul(self, a: ComplexValue, b: ComplexValue) -> ComplexValue:
@@ -183,3 +226,19 @@ class ComplexTable:
     def div_real(self, a: ComplexValue, s: float) -> ComplexValue:
         """a / s for a positive real scale factor."""
         return self.lookup(a.re / s, a.im / s)
+
+
+def quotients(ar, ai, br, bi) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of (ar + i ai) / (br + i bi) over float64
+    arrays, bit for bit as Python's complex division gives them for finite
+    values with b nonzero: CPython's ``_Py_c_quot`` divides through by the
+    larger-magnitude coordinate of b (the real one on a tie), one rounded
+    float64 operation at a time, so no fused or complex128 arithmetic here.
+    """
+    on_re = np.abs(br) >= np.abs(bi)
+    with np.errstate(all="ignore"):  # the branch not taken may divide by 0
+        ratio = np.where(on_re, bi / br, br / bi)
+        denom = np.where(on_re, br + bi * ratio, br * ratio + bi)
+        qr = np.where(on_re, ar + ai * ratio, ar * ratio + ai) / denom
+        qi = np.where(on_re, ai - ar * ratio, ai * ratio - ar) / denom
+    return qr, qi

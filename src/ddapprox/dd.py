@@ -47,42 +47,94 @@ return or raise. Nodes, edges and values form a DAG that reference
 counting frees alone, so a collection would rescan the package and free
 nothing. Unpaused, ``fidelity`` of two disjoint 32,767-node states took
 3-4% longer (2-vCPU Xeon, Python 3.11); on states that share their nodes
-it took the same time. The pause is process-wide: while one thread runs
-such a call, cyclic garbage made by any thread waits. When such calls
-overlap in several threads, the collector comes back on when the call
-that turned it off returns, perhaps before the others do; once all have
-returned, it is as it was before the first.
+it took the same time.
+
+The call that pauses the collector also keeps it from rescanning what the
+call built. It first collects the young generations, which frees the
+cyclic garbage its caller left there. When it leaves more tracked objects
+than start a young collection, it moves every tracked object to the oldest
+generation on its way out (``gc.freeze()``, then ``gc.unfreeze()``);
+otherwise the young collections that follow would traverse and promote
+everything the call allocated. Objects moved so do not count towards the
+collector's trigger for a full collection, so the entry collection is a
+full one whenever the interpreter holds a quarter more memory blocks than
+after the last full one a paused call ran. A caller that holds frozen
+objects (``gc.get_freeze_count() > 0``) keeps them frozen: its paused calls
+do none of this.
+
+The pause is process-wide: while one thread runs such a call, cyclic
+garbage made by any thread waits. What other threads, or an observer
+callback, make during a call that promotes is moved to the oldest
+generation with the rest, where it waits for the next full collection.
+When such calls overlap in several threads, the collector comes back on
+when the call that turned it off returns, perhaps before the others do;
+once all have returned, it is as it was before the first.
 """
 
 from __future__ import annotations
 
 import gc
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from itertools import chain
+from itertools import chain, count
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .complex_table import DEFAULT_TOL, ComplexTable, ComplexValue, sqr_mag
+from .complex_table import DEFAULT_TOL, ComplexTable, ComplexValue, quotients, sqr_mag
 from .errors import DDError, NumericDomainError, SizeLimitError, ZeroStateError
+
+
+#: Memory blocks the interpreter held (``sys.getallocatedblocks()``) right
+#: after the last full collection that `_gc_paused` ran; 0 before the first.
+_blocks_after_full = 0
 
 
 def _gc_paused(fn):
     """`fn` run with the cyclic garbage collector off, restored on return or
     error. A call that starts with the collector off, such as one nested in
-    another paused call, leaves it off."""
+    another paused call, leaves it off.
+
+    The call that turns the collector off first collects the young
+    generations. When it leaves more tracked objects than start a young
+    collection, it moves every tracked object to the oldest generation on
+    its way out (`gc.freeze` then `gc.unfreeze`), so what it built is not
+    rescanned by the young collections that would follow. Objects moved so
+    do not count towards the collector's own trigger for a full collection,
+    so the entry collection is a full one instead whenever the interpreter
+    holds a quarter more memory blocks than after the previous full one:
+    cyclic garbage that reached the oldest generation this way is freed
+    before memory grows further. When the caller holds frozen objects of its
+    own (`gc.get_freeze_count() > 0`), or the interpreter counts no blocks
+    (``PYTHONMALLOC=malloc``), the call does none of this."""
 
     @wraps(fn)
     def paused(*args, **kwargs):
+        global _blocks_after_full
         if not gc.isenabled():
             return fn(*args, **kwargs)
+        blocks = sys.getallocatedblocks()
+        promote = blocks > 0 and gc.get_freeze_count() == 0
+        if promote:
+            if blocks > _blocks_after_full + _blocks_after_full // 4:
+                gc.collect()
+                _blocks_after_full = sys.getallocatedblocks()
+            else:
+                gc.collect(1)
         gc.disable()
         try:
             return fn(*args, **kwargs)
         finally:
+            # Only when what the call left would start a young collection at
+            # once: below that there is no rescan to spare, and what the call
+            # left (cyclic garbage from the CLI's argument parser, say) stays
+            # where the next young collection finds it.
+            if promote and gc.get_count()[0] > gc.get_threshold()[0]:
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
     return paused
@@ -124,8 +176,11 @@ class Node:
         self.succ0 = succ0
         self.succ1 = succ1
         self.uid = uid  # creation order within the package; deterministic
-        self.mass = sqr_mag(succ0.weight) * succ0.target.mass + sqr_mag(
-            succ1.weight
+        # sqr_mag's products and sum, written out: one frame fewer below
+        # make_node, whose callers recurse once per level
+        w0, w1 = succ0.weight, succ1.weight
+        self.mass = (w0.re * w0.re + w0.im * w0.im) * succ0.target.mass + (
+            w1.re * w1.re + w1.im * w1.im
         ) * succ1.target.mass
         self.fixed = fixed
 
@@ -179,58 +234,51 @@ class DDPackage:
             if wx is not zero and tx is not TERMINAL and tx.level <= level:
                 raise DDError(f"successor at level {tx.level} not below level {level}")
 
-        div: ComplexValue | None = None
         if w0 is not zero and w1 is not zero:
             if w0.re * w0.re + w0.im * w0.im >= w1.re * w1.re + w1.im * w1.im:
                 r = t.div(w1, w0)
-                if r is zero:
-                    w1 = zero  # ratio below tolerance: treat as empty
-                else:
-                    div, w0, w1 = w0, t.one, r
+                if r is not zero:
+                    return Edge(self._intern(level, t0, t.one, t1, r), w0)
+                w1 = zero  # ratio below tolerance: treat as empty
             else:
                 r = t.div(w0, w1)
-                if r is zero:
-                    w0 = zero
-                else:
-                    div, w0, w1 = w1, r, t.one
-        if div is None:
-            # zero or one live successor: phase stays below, magnitude goes up
-            if w0 is zero and w1 is zero:
-                return self.zero_stub
-            if w1 is zero:
-                mag = math.hypot(w0.re, w0.im)
-                w0 = t.lookup(w0.re / mag, w0.im / mag)
-            else:
-                mag = math.hypot(w1.re, w1.im)
-                w1 = t.lookup(w1.re / mag, w1.im / mag)
-            div = t.lookup(mag, 0.0)
-
-        if w0 is zero:
-            t0 = TERMINAL
+                if r is not zero:
+                    return Edge(self._intern(level, t0, r, t1, t.one), w1)
+                w0 = zero
+        # zero or one live successor: phase stays below, magnitude goes up
         if w1 is zero:
-            t1 = TERMINAL
+            if w0 is zero:
+                return self.zero_stub
+            mag = math.hypot(w0.re, w0.im)
+            node = self._intern(level, t0, t.lookup(w0.re / mag, w0.im / mag), TERMINAL, zero)
+        else:
+            mag = math.hypot(w1.re, w1.im)
+            node = self._intern(level, TERMINAL, zero, t1, t.lookup(w1.re / mag, w1.im / mag))
+        return Edge(node, t.lookup(mag, 0.0))
+
+    def _intern(self, level: int, t0, w0: ComplexValue, t1, w1: ComplexValue) -> Node:
+        """The node with these normalized successors, from the unique table
+        or created in it. A zero weight's target must be the terminal."""
         key = (level, t0, w0, t1, w1)
         node = self._unique.get(key)
         if node is None:
+            t = self.table
+            zero = t.zero
             # Node.fixed: would these final weights come back unchanged? One
             # live weight does when its magnitude is exactly 1; two do when
-            # `one` still wins the comparison above (ties go to succ0).
+            # `one` still wins make_node's comparison (ties go to succ0).
             if w0 is zero or w1 is zero:
                 live = w1 if w0 is zero else w0
                 fixed = math.hypot(live.re, live.im) == 1.0
             else:
                 fixed = sqr_mag(w1) <= 1.0 if w0 is t.one else sqr_mag(w0) < 1.0
+            # Edge._make, not Edge(): one frame fewer below make_node
             stub = self.zero_stub
-            node = Node(
-                level,
-                stub if w0 is zero else Edge(t0, w0),
-                stub if w1 is zero else Edge(t1, w1),
-                self._next_uid,
-                fixed,
-            )
+            e0 = stub if w0 is zero else Edge._make((t0, w0))
+            e1 = stub if w1 is zero else Edge._make((t1, w1))
+            node = self._unique[key] = Node(level, e0, e1, self._next_uid, fixed)
             self._next_uid += 1
-            self._unique[key] = node
-        return Edge(node, div)
+        return node
 
     # -- state construction -------------------------------------------------
 
@@ -249,6 +297,12 @@ class DDPackage:
 
         The length must be a power of two and the norm within 1e-6 of 1;
         the residual norm is divided out exactly before building.
+
+        The diagram is built bottom-up, one level at a time (the
+        breadth-first order of Ochi, Yasuoka and Yajima, ICCAD 1993): the
+        amplitudes are interned first, then each level's nodes from the
+        level below, with the same values, tie rule and node keys as
+        `make_node` calls on each pair of edges would use.
         """
         arr = np.asarray(amps, dtype=np.complex128).reshape(-1)
         size = arr.shape[0]
@@ -263,17 +317,67 @@ class DDPackage:
             raise ValueError(f"vector norm {nrm!r} is too far from 1")
         arr = arr / nrm
         n = size.bit_length() - 1
-        root = self._build(arr.real.tolist(), arr.imag.tolist(), 0, size, 0)
-        return StateDD(n, root, self)
+        zero, stub = self.table.zero, self.zero_stub
+        leaves = self.table.lookup_many(arr.real, arr.imag)
+        edges = [stub if w is zero else Edge(TERMINAL, w) for w in leaves]
+        re = np.fromiter(map(attrgetter("re"), leaves), np.float64, size)
+        im = np.fromiter(map(attrgetter("im"), leaves), np.float64, size)
+        for level in range(n - 1, -1, -1):
+            edges, re, im = self._level_from_pairs(level, edges, re, im)
+        return StateDD(n, edges[0], self)
 
-    def _build(self, re: list[float], im: list[float], lo: int, hi: int, level: int) -> Edge:
-        """Edge for the amplitudes [lo, hi) given as float lists, post-order."""
-        if hi - lo == 1:
-            return self.terminal_edge(re[lo], im[lo])
-        mid = (lo + hi) // 2
-        return self.make_node(
-            level, self._build(re, im, lo, mid, level + 1), self._build(re, im, mid, hi, level + 1)
-        )
+    def _level_from_pairs(self, level: int, edges: list, re: np.ndarray, im: np.ndarray):
+        """The edges into `level`'s nodes, where node k's successors are
+        `edges[2k]` and `edges[2k + 1]`, plus the coordinates of their
+        weights; `re` and `im` hold those of `edges`' weights.
+
+        Each pair takes `make_node`'s path without its per-pair calls: the
+        tie tests and the quotients of every pair are computed over the
+        arrays, and the ratios that `ComplexTable.div` would look up are
+        interned in one `lookup_many`, in pair order, before the pairs left
+        with at most one live weight go through `make_node` in turn. The
+        weights are interned, so div's `a is b` is a == b, and its `b is
+        one` is b == (1, 0).
+        """
+        t = self.table
+        zero, one = t.zero, t.one
+        r0, r1, i0, i1 = re[0::2], re[1::2], im[0::2], im[1::2]
+        live = ((r0 != 0.0) | (i0 != 0.0)) & ((r1 != 0.0) | (i1 != 0.0))
+        top = r0 * r0 + i0 * i0 >= r1 * r1 + i1 * i1  # ties go to succ0
+        # the ratio a / b divides the lighter weight by the heavier one
+        ar, ai = np.where(top, r1, r0), np.where(top, i1, i0)
+        br, bi = np.where(top, r0, r1), np.where(top, i0, i1)
+        same = (ar == br) & (ai == bi)  # div gives one
+        unit = ~same & (br == 1.0) & (bi == 0.0)  # div gives a
+        ask = np.flatnonzero(live & ~same & ~unit)
+        ratios = iter(t.lookup_many(*quotients(ar[ask], ai[ask], br[ask], bi[ask])))
+        # per pair: 0 at most one live weight, else where its ratio comes from
+        case = np.where(live, np.where(same, 1, np.where(unit, 2, 3)), 0).tolist()
+        pairs = zip(count(), edges[0::2], edges[1::2], case, top.tolist())
+        out = []
+        append, intern, stub = out.append, self._intern, self.zero_stub
+        lone = []  # indices of the edges whose weight make_node looked up
+        for k, (t0, w0), (t1, w1), c, hi in pairs:
+            if c:
+                r = one if c == 1 else (w1 if hi else w0) if c == 2 else next(ratios)
+                if r is not zero:
+                    if hi:
+                        append(Edge(intern(level, t0, one, t1, r), w0))
+                    else:
+                        append(Edge(intern(level, t0, r, t1, one), w1))
+                    continue
+                # ratio below tolerance: the lighter weight counts as zero
+                e0, e1 = ((t0, w0), stub) if hi else (stub, (t1, w1))
+            else:
+                e0, e1 = (t0, w0), (t1, w1)
+            e = self.make_node(level, e0, e1)
+            if e.weight is not zero:
+                lone.append(k)
+            append(e)
+        # every other edge carries the pair's heavier weight, or (0, 0)
+        for k in lone:
+            br[k], bi[k] = out[k].weight.re, out[k].weight.im
+        return out, br, bi
 
     # -- maintenance ---------------------------------------------------------
 

@@ -25,6 +25,13 @@ buckets around each query, with one list per bucket: the straightforward
 form of the closest-then-oldest rule that the package serves from an exact
 index and wider buckets.
 
+`from_vector_ref` is the dense-vector build as the post-order recursion the
+package used before it built one level at a time: one `terminal_edge` per
+amplitude and one `make_node` per pair, depth first. It interns the same
+kind of values in another order, so on the same vector it makes the same
+nodes, weights and table coordinates unless two values within the table's
+tolerance of each other meet in the other order.
+
 `simulate_edges` at the end is the gate-application kernel that builds an
 `Edge` for every scaled successor and every sum, kept as it was before the
 package's kernel passed plain (target, weight) pairs. It makes the same
@@ -546,3 +553,22 @@ def _apply(pkg: DDPackage, root: Edge, mat, target: int, control: int | None = N
         return pkg.make_node(control, node.succ0, rebuild(pkg, node.succ1, mix, inner_memo))
 
     return rebuild(pkg, root, controlled, {})
+
+
+def from_vector_ref(pkg: DDPackage, amps) -> StateDD:
+    """`DDPackage.from_vector` of a valid vector, built by `_build`."""
+    arr = np.asarray(amps, dtype=np.complex128).reshape(-1)
+    arr = arr / float(np.linalg.norm(arr))
+    size = arr.shape[0]
+    root = _build(pkg, arr.real.tolist(), arr.imag.tolist(), 0, size, 0)
+    return StateDD(size.bit_length() - 1, root, pkg)
+
+
+def _build(pkg: DDPackage, re: list[float], im: list[float], lo: int, hi: int, level: int) -> Edge:
+    """Edge for the amplitudes [lo, hi) given as float lists, post-order."""
+    if hi - lo == 1:
+        return pkg.terminal_edge(re[lo], im[lo])
+    mid = (lo + hi) // 2
+    return pkg.make_node(
+        level, _build(pkg, re, im, lo, mid, level + 1), _build(pkg, re, im, mid, hi, level + 1)
+    )

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddapprox import ComplexTable, DDPackage, NumericDomainError, random_circuit, simulate, sqr_mag
-from ddapprox.complex_table import _BUCKET_TOLS, _STRIDE
+from ddapprox.complex_table import _BUCKET_TOLS, _STRIDE, quotients
 
 import dense_ref
 
@@ -227,6 +227,126 @@ def test_lookup_matches_nine_bucket_scan(run):
     for x, y in queries:
         assert _bits(table.lookup(x, y)) == _bits(ref.lookup(x, y)), (x, y)
     assert len(table) == len(ref)
+
+
+def _chains(table):
+    """Every bucket chain of `table`, newest value first, by packed id."""
+    out = {}
+    for key, v in table._buckets.items():
+        out[key] = chain = []
+        while v is not None:
+            chain.append(_bits(v))
+            v = v.older
+    return out
+
+
+# Coordinates that `lookup` rejects: non-finite, or too large for a bucket
+# index at any of _TOLS.
+_REJECTED = [
+    (math.nan, 0.0), (0.5, -math.inf), (math.inf, math.nan), (1.7e308, 0.5), (0.5, -1.7e308)
+]
+
+
+_HI, _LO = _aliasing_ims(1e-10, 0)
+
+
+@st.composite
+def _batch_runs(draw):
+    """(tol, stored, batch): `_lookup_runs` queries split into values looked
+    up one by one first and a batch after them, the batch perhaps with one
+    rejected coordinate pair inserted."""
+    tol, queries = draw(_lookup_runs())
+    cut = draw(st.integers(0, len(queries)))
+    batch = queries[cut:]
+    if draw(st.booleans()):
+        batch.insert(draw(st.integers(0, len(batch))), draw(st.sampled_from(_REJECTED)))
+    return tol, queries[:cut], batch
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=_batch_runs())
+# The second value lies within tol of the first across the edge of its
+# (still empty) home bucket, so lookup must find the first.
+@example(run=(1e-10, [], [(_W - 0.25e-10, 0.5), (_W + 0.25e-10, 0.5), (_W + 0.25e-10, 0.5)]))
+# Within tol of each other inside one home bucket; of stored values; exact
+# 0 and 1 and -0.0; repeats.
+@example(
+    run=(
+        1e-10,
+        [(0.3, 0.1), (0.7, -0.2)],
+        [(0.5, 0.5), (0.5 + 0.5e-10, 0.5), (0.3 - 0.5e-10, 0.1), (0.7, -0.2 + 0.75e-10),
+         (0.0, 0.0), (-0.0, 0.0), (1.0, 0.0), (1.0, -0.0), (1.0 + 0.5e-10, 0.0), (0.5, 0.5)],
+    )
+)
+# Aliased packed ids: buckets (i, j) and (i + 1, j - _STRIDE) share a chain.
+@example(
+    run=(
+        1e-10,
+        [],
+        [(_W / 2, _HI), (_W * 1.5, _LO), (_W - 0.25e-10, _LO), (_W / 2, _HI), (_W * 1.5, _LO)],
+    )
+)
+# A rejected pair after a value that was stored: the batch keeps that insert.
+@example(run=(1e-10, [], [(0.25, 0.25), (0.5, math.nan), (0.75, 0.75)]))
+def test_lookup_many_matches_lookups(run):
+    """`lookup_many` on one table and `lookup` in turn on its twin return the
+    same values and leave the same table, and raise at the same element."""
+    tol, stored, batch = run
+    many, single = ComplexTable(tol), ComplexTable(tol)
+    for x, y in stored:
+        many.lookup(x, y)
+        single.lookup(x, y)
+    want, error = [], None
+    for x, y in batch:
+        try:
+            want.append(_bits(single.lookup(x, y)))
+        except NumericDomainError as exc:
+            error = str(exc)
+            break
+    re, im = np.array(batch, dtype=np.float64).reshape(-1, 2).T
+    if error is None:
+        assert [_bits(v) for v in many.lookup_many(re, im)] == want
+    else:
+        with pytest.raises(NumericDomainError) as exc:
+            many.lookup_many(re, im)
+        assert str(exc.value) == error
+    assert len(many) == len(single)
+    assert _chains(many) == _chains(single)
+
+
+def _quotient_pairs(rng, size):
+    """(ar, ai, br, bi) arrays of `size` pairs in five equal parts: Gaussian,
+    uniform, extreme exponents, signed-zero components, and |br| = |bi|."""
+    k = size // 5
+    parts = [rng.standard_normal((4, k)), rng.uniform(-1.0, 1.0, (4, k))]
+    mant = rng.uniform(0.5, 1.0, (4, k)) * rng.choice([-1.0, 1.0], (4, k))
+    parts.append(np.ldexp(mant, rng.integers(-1060, 1020, (4, k))))
+    zeros = rng.standard_normal((4, k))
+    zeros[rng.random((4, k)) < 0.4] = 0.0
+    zeros *= rng.choice([-1.0, 1.0], (4, k))  # signed zeros
+    parts.append(zeros)
+    ties = rng.standard_normal((4, k))
+    ties[3] = ties[2] * rng.choice([-1.0, 1.0], k)
+    ties[:2, : k // 2] = ties[2:, : k // 2]  # some a == b and a == conj(b)
+    ties[1, : k // 4] *= -1.0
+    parts.append(ties)
+    ar, ai, br, bi = np.concatenate(parts, axis=1)
+    keep = (br != 0.0) | (bi != 0.0)  # Python raises ZeroDivisionError there
+    return ar[keep], ai[keep], br[keep], bi[keep]
+
+
+def test_quotients_match_complex_division():
+    """Bit for bit (signed zeros too, so compared by `.hex()`) what Python's
+    complex division gives, on about 1e5 pairs."""
+    ar, ai, br, bi = _quotient_pairs(np.random.default_rng(23), 100_000)
+    qr, qi = quotients(ar, ai, br, bi)
+    bad = []
+    for a, b, c, d, x, y in zip(*(v.tolist() for v in (ar, ai, br, bi, qr, qi))):
+        q = complex(a, b) / complex(c, d)
+        if (q.real.hex(), q.imag.hex()) != (x.hex(), y.hex()):
+            bad.append((a, b, c, d))
+    assert len(ar) > 95_000
+    assert bad == []
 
 
 @pytest.mark.parametrize("tol", _TOLS)

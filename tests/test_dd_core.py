@@ -3,10 +3,11 @@ import importlib
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddapprox import (
@@ -24,6 +25,7 @@ from ddapprox import (
     Threshold,
     ZeroStateError,
     apply_scheme,
+    approx_target_fidelity,
     approx_threshold,
     contributions,
     eliminate,
@@ -392,7 +394,7 @@ def test_paused_call_restores_the_collector(pkg, demo_state, monkeypatch, collec
         return record
 
     fid = importlib.import_module("ddapprox.fidelity")
-    monkeypatch.setattr(DDPackage, "make_node", spy(DDPackage.make_node))
+    monkeypatch.setattr(DDPackage, "_intern", spy(DDPackage._intern))
     monkeypatch.setattr(fid, "_ip", spy(fid._ip))
     (gc.enable if enabled else gc.disable)()
     PAUSED_CALLS[name](pkg, demo_state)
@@ -429,6 +431,100 @@ def test_nested_paused_call_keeps_the_collector_off(demo_state, monkeypatch, col
     assert report.eliminated > 0
     assert after == [False]
     assert gc.isenabled()
+
+
+def test_paused_calls_leave_no_collection_behind(collector):
+    """A library caller's from_vector, then an approx_* call: each collects
+    as it starts and leaves what it built in the oldest generation, so no
+    young collection runs between or after them."""
+    vec = dense_ref.random_state(np.random.default_rng(3), 10)
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        dd = DDPackage().from_vector(vec)
+        approx_target_fidelity(dd, 0.9)
+        after = [[] for _ in range(100)]  # tracked allocations after the calls
+    finally:
+        gc.callbacks.remove(record)
+    assert len(after) == 100
+    assert len(starts) == 2 and 0 not in starts  # the two entry collections
+
+
+class _Holder:
+    """A weak-referenceable object in a reference cycle with `cycle`."""
+
+    def __init__(self, cycle):
+        cycle.append(self)
+        self.cycle = cycle
+
+
+def _cycle(freed: list) -> None:
+    """Leaves a reference cycle that appends "freed" to `freed` when the
+    collector frees it."""
+    weakref.finalize(_Holder([]), freed.append, "freed")
+
+
+def test_paused_call_frees_cycles_made_before_it(monkeypatch, collector):
+    # no growth since the last full collection, so the entry one is young
+    dd_module = importlib.import_module("ddapprox.dd")
+    monkeypatch.setattr(dd_module, "_blocks_after_full", sys.getallocatedblocks())
+    gc.collect()
+    freed = []
+    _cycle(freed)
+    DDPackage().from_vector(DEMO_VECTOR)
+    assert freed == ["freed"]
+
+
+def test_paused_call_leaving_little_leaves_its_garbage_young(collector):
+    """A call that leaves fewer objects than start a young collection moves
+    nothing to the oldest generation, so a young collection frees the
+    cycles it made (as the CLI's argument parser makes them)."""
+    freed = []
+    dd_module = importlib.import_module("ddapprox.dd")
+    dd_module._gc_paused(_cycle)(freed)
+    assert freed == []
+    gc.collect(1)
+    assert freed == ["freed"]
+
+
+@pytest.mark.parametrize("grown", [1.2, 1.3])
+def test_promoted_garbage_freed_once_memory_grows(monkeypatch, collector, grown):
+    """A cycle made during a call that promotes (here by an observer) waits
+    in the oldest generation; the next paused call frees it with a full
+    collection once the interpreter holds a quarter more memory blocks than
+    after the last full one."""
+    dd_module = importlib.import_module("ddapprox.dd")
+    freed = []
+    pkg = DDPackage()
+    simulate(random_circuit(10, 30, 3), pkg, lambda i, gate, state: i or _cycle(freed))
+    assert len(pkg.table) > gc.get_threshold()[0]  # its values alone make it promote
+    gc.collect(1)
+    assert freed == []
+    monkeypatch.setattr(dd_module, "_blocks_after_full", int(sys.getallocatedblocks() / grown))
+    DDPackage().from_vector(DEMO_VECTOR)
+    assert freed == (["freed"] if grown > 1.25 else [])
+
+
+def test_paused_call_keeps_callers_frozen_objects_frozen(collector):
+    """The call leaves the permanent generation to a caller that froze
+    objects. (Its count alone can drop during the call, as frozen objects
+    die by reference counting, so one held object is looked for.)"""
+    vec = dense_ref.random_state(np.random.default_rng(3), 10)  # enough to promote
+    held = [[]]
+    gc.freeze()
+    try:
+        DDPackage().from_vector(vec)
+        assert gc.get_freeze_count() > 0
+        assert not any(obj is held for obj in gc.get_objects())
+    finally:
+        gc.unfreeze()
+    assert any(obj is held for obj in gc.get_objects())
 
 
 def _query_tasks(states):
@@ -522,6 +618,120 @@ def test_to_dot_output(pkg):
     assert dot.count('label="0"') == 3  # one stub leaf per empty half
     assert 'label="1"' in dot
     assert dot == dd.to_dot()  # deterministic
+
+
+@st.composite
+def dense_vectors(draw):
+    """Unit vectors of 2 to 128 amplitudes: complex Gaussian, real Gaussian,
+    Gaussian with exact zeros (so slices with one live half and all-zero
+    slices), one magnitude on a random support with phases +-1 and +-i (so
+    exact ties), and simulated random circuits (so rounding dust)."""
+    kind = draw(st.sampled_from(["gaussian", "real", "sparse", "uniform", "simulated"]))
+    n = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "simulated":
+        circuit = random_circuit(n, draw(st.integers(0, 4 * n)), seed)
+        return simulate(circuit, DDPackage()).to_vector()
+    rng = np.random.default_rng(seed)
+    size = 1 << n
+    if kind == "uniform":
+        vec = rng.choice(np.array([1, -1, 1j, -1j]), size)
+        vec[rng.random(size) < draw(st.sampled_from((0.0, 0.5, 0.9)))] = 0.0
+        vec[rng.integers(size)] = 1.0
+    elif kind == "real":
+        vec = rng.standard_normal(size)
+    else:
+        vec = dense_ref.random_state(rng, n)
+        if kind == "sparse":
+            vec[rng.random(size) < draw(st.sampled_from((0.3, 0.6, 0.9)))] = 0.0
+            vec[rng.integers(size)] = 1.0
+    return vec / np.linalg.norm(vec)
+
+
+def _build_record(dd):
+    """Everything a build decides, bit for bit: each node in view order (by
+    level, then creation) with its weights, mass and fixed flag, the
+    successor indices, the root weight, and the value table's size and
+    coordinates. Not uids or value sequence numbers, which follow the order
+    of interning."""
+    view, table = dd.view, dd.package.table
+    nodes = [
+        (v.level, *(x.hex() for e in (v.succ0, v.succ1) for x in (e.weight.re, e.weight.im)),
+         v.mass.hex(), v.fixed)
+        for v in view.nodes
+    ]
+    coords = set()
+    for v in table._buckets.values():
+        while v is not None:
+            coords.add((v.re.hex(), v.im.hex()))
+            v = v.older
+    root = dd.root.weight.re.hex(), dd.root.weight.im.hex()
+    return nodes, view.succ.tolist(), root, len(table), coords
+
+
+def _merged_lookups(table) -> list:
+    """The (re, im) queries that `table.lookup` answers from now on with a
+    value whose coordinates differ from theirs in any bit: a value within
+    tol, or an equal one whose zero coordinate has the other sign."""
+    merged, lookup = [], table.lookup
+
+    def spy(re, im):
+        v = lookup(re, im)
+        if (v.re.hex(), v.im.hex()) != (float(re).hex(), float(im).hex()):
+            merged.append((re, im))
+        return v
+
+    table.lookup = spy  # make_node, div and terminal_edge call it on the instance
+    return merged
+
+
+_C = 0.35355339059327373  # 1 / sqrt(8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vec=dense_vectors())
+# Exact ties between unequal weights, which go to the 0-successor.
+@example(vec=np.array([0.5, -0.5, 0.5j, 0.5]))
+@example(vec=np.array([0.0, 0.5, -0.5j, 0.0, 0.5, 0.0, 0.0, -0.5]))
+# Found by this test: the recursion stores (-1, -0.0) as a level-1 ratio
+# before the level-2 ratio (-1, 0.0) claims it; level by level, (-1, 0.0)
+# comes first. Both builds reproduce the vector exactly.
+@example(vec=np.array([-_C, -_C, _C, complex(-0.0, -_C), -_C, complex(0.0, _C), _C, -_C]))
+# Found by this test: the vector of simulate(random_circuit(3, 7, 85)). Two
+# level-1 values 1 ulp apart in im meet in the other order, so a node weight
+# and the root node's mass differ in the last bit; the dense-oracle error is
+# 7.9e-17 level by level against 1.2e-16 for the recursion.
+@example(
+    vec=np.array([
+        0.49999999999999983 + 3.1116426608676864e-19j,
+        -0.07138386945489464 + 0.49487810941851773j,
+        0j,
+        0j,
+        0.3535533905932737 + 0.3535533905932736j,
+        -0.40040768518950337 + 0.29945564887172094j,
+        0j,
+        0j,
+    ])
+)
+def test_from_vector_matches_recursive_build(vec):
+    """The level-by-level build against the post-order recursion it
+    replaced, each in a fresh package.
+
+    The two intern the same values in another order. While every query of
+    the recursion gets its own coordinates back, the order cannot matter,
+    and the two builds must agree bit for bit. Where the recursion merged
+    a query into another stored value, the other order may keep the other
+    value of that tolerance ball; then the per-level sizes must agree, and
+    the amplitudes within tol."""
+    got = DDPackage().from_vector(vec)
+    pkg = DDPackage()
+    merged = _merged_lookups(pkg.table)
+    want = dense_ref.from_vector_ref(pkg, vec)
+    sizes = {level: s.stop - s.start for level, s in got.view.levels.items()}
+    assert sizes == {level: s.stop - s.start for level, s in want.view.levels.items()}
+    assert np.max(np.abs(got.to_vector() - want.to_vector())) <= pkg.table.tol
+    if not merged:
+        assert _build_record(got) == _build_record(want)
 
 
 @settings(max_examples=40, deadline=None)

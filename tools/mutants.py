@@ -54,8 +54,8 @@ TABLE = (
     Mutant(
         "mark every node fixed",
         "src/ddapprox/dd.py",
-        "                self._next_uid,\n                fixed,\n",
-        "                self._next_uid,\n                True,\n",
+        "Node(level, e0, e1, self._next_uid, fixed)",
+        "Node(level, e0, e1, self._next_uid, True)",
         ("tests/test_approx.py::test_fixed_nodes_are_fixed_points_of_make_node",),
     ),
     Mutant(
@@ -100,6 +100,55 @@ TABLE = (
         "return _rescaled(dd.n, root, pkg, total), _result_size(root.target, view), total",
         "return StateDD(dd.n, root, pkg), _result_size(root.target, view), total",
         ("tests/test_approx.py::test_outputs_keep_unit_norm",),
+    ),
+    Mutant(
+        "flip the level-by-level build's tie rule",
+        "src/ddapprox/dd.py",
+        "top = r0 * r0 + i0 * i0 >= r1 * r1 + i1 * i1",
+        "top = r0 * r0 + i0 * i0 > r1 * r1 + i1 * i1",
+        ("tests/test_dd_core.py::test_from_vector_matches_recursive_build",),
+    ),
+    Mutant(
+        "ignore the bucket-edge flag in lookup_many's fast path",
+        "src/ddapprox/complex_table.py",
+        "fast = ~edge & (np.abs(i) < 2.0**31)",
+        "fast = (np.abs(i) < 2.0**31)",
+        ("tests/test_complex_table.py::test_lookup_many_matches_lookups",),
+    ),
+    Mutant(
+        "divide through by b.imag on |br| = |bi| in quotients",
+        "src/ddapprox/complex_table.py",
+        "on_re = np.abs(br) >= np.abs(bi)",
+        "on_re = np.abs(br) > np.abs(bi)",
+        ("tests/test_complex_table.py::test_quotients_match_complex_division",),
+    ),
+    Mutant(
+        "promote to the oldest generation under a caller's frozen objects",
+        "src/ddapprox/dd.py",
+        "promote = blocks > 0 and gc.get_freeze_count() == 0",
+        "promote = blocks > 0",
+        ("tests/test_dd_core.py::test_paused_call_keeps_callers_frozen_objects_frozen",),
+    ),
+    Mutant(
+        "skip the young collection before a paused call",
+        "src/ddapprox/dd.py",
+        "                gc.collect(1)\n",
+        "                pass\n",
+        ("tests/test_dd_core.py::test_paused_call_frees_cycles_made_before_it",),
+    ),
+    Mutant(
+        "promote whatever a paused call leaves",
+        "src/ddapprox/dd.py",
+        "if promote and gc.get_count()[0] > gc.get_threshold()[0]:",
+        "if promote:",
+        ("tests/test_dd_core.py::test_paused_call_leaving_little_leaves_its_garbage_young",),
+    ),
+    Mutant(
+        "never make the entry collection a full one",
+        "src/ddapprox/dd.py",
+        "if blocks > _blocks_after_full + _blocks_after_full // 4:",
+        "if False:",
+        ("tests/test_dd_core.py::test_promoted_garbage_freed_once_memory_grows",),
     ),
     Mutant(
         "let collect_garbage drop a live node",
