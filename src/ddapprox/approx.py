@@ -7,11 +7,14 @@ and rescales the rest, the fidelity against the original state equals the
 kept probability mass.
 
 Re-reducing keeps a node as it is when neither it nor any node below it is
-doomed and all of them are fixed points of `make_node` (`LevelView.fixed`);
-every other node is rebuilt, which gives the same nodes and tables, bit
-for bit, as rebuilding every node. A trial's norm is read off its rebuilt
-root (`Node.mass`) and its size from the state's view, so a trial costs
-time in proportion to what it rebuilds.
+doomed and all of them are fixed points of `make_node` (`LevelView.fixed`),
+and turns a node into the zero-stub, without a walk below it, when no path
+through it survives (each edge is a zero-stub or leads to such a node).
+Every other node is rebuilt, and one that is fixed and gets its own
+successors back is not handed to `make_node`. This gives the same nodes
+and tables, bit for bit, as rebuilding every node through `make_node`. A
+trial's norm is read off its rebuilt root (`Node.mass`) and its size from
+the state's view, so a trial costs time in proportion to what it rebuilds.
 """
 
 from __future__ import annotations
@@ -234,11 +237,14 @@ def eliminate(dd: StateDD, doomed: Iterable[Node]) -> StateDD:
 
     The rebuilt diagram is re-reduced (nodes whose successors collapsed are
     merged or dropped) and rescaled to unit norm; `dd` itself is untouched.
-    A node is rebuilt through `make_node` when it or a node below it is
-    doomed or not a fixed point of `make_node` (see `LevelView.fixed`); every
-    other node would come back as itself with weight one and no table write,
-    so its edge is kept as it is. The norm is read off the rebuilt root, so
-    the call costs time in proportion to what it rebuilds. Doomed nodes not
+    A node with no surviving path (each edge a zero-stub or into a doomed
+    node or another such node) becomes the zero-stub, as `make_node` would
+    make it, without a walk below it. Any other node is rebuilt when it or a
+    node below it is doomed or not a fixed point of `make_node` (see
+    `LevelView.fixed`); every other node would come back as itself with
+    weight one and no table write, so its edge is kept as it is. The norm
+    is read off the rebuilt root, so the call costs time in proportion to
+    what it rebuilds. Doomed nodes not
     reachable from `dd` are ignored: the others are mapped to their indices
     in `dd.view` once, here, and the elimination reads only those.
     `dd` must not be a state whose nodes `collect_garbage` dropped: kept
@@ -254,13 +260,16 @@ def _eliminate(dd: StateDD, doomed: np.ndarray) -> tuple[StateDD, int, float]:
     """`eliminate` of the nodes at the view indices `doomed`, plus the
     result's size and the path mass it divided out.
 
-    One bottom-up pass over the view's level slices marks the nodes to
-    keep: ``keep = fixed & ~dead``, where ``dead`` marks the doomed indices,
-    ANDed with ``keep`` of both entries of the node's row of `view.succ`.
-    `dd._rebuild` then copies the root edge, with doomed nodes replaced by
-    the zero-stub and kept ones by themselves at weight one. The mass is
-    read off the rebuilt root (`Node.mass`), so the rescaled root is the one
-    `renormalize` gives. The size comes from `_result_size`.
+    One bottom-up pass over the view's level slices marks the nodes that
+    are dead and the nodes to keep. ``dead`` starts as the doomed indices,
+    and a node joins it when each entry of its row of `view.succ` is dead or
+    a zero-stub (`view.mag` 0): no path through it survives. ``keep`` starts
+    as ``fixed & ~dead`` and is ANDed with ``keep`` of both entries of the
+    node's row. `dd._rebuild` then copies the root edge, with dead nodes
+    replaced by the zero-stub and kept ones by themselves at weight one.
+    The mass is read off the rebuilt root (`Node.mass`), so the rescaled
+    root is the one `renormalize` gives. The size comes from
+    `_result_size`.
     """
     pkg = dd.package
     view = dd.view
@@ -268,7 +277,9 @@ def _eliminate(dd: StateDD, doomed: np.ndarray) -> tuple[StateDD, int, float]:
     dead[doomed] = True
     keep = view.fixed & ~dead
     for s in reversed(view.levels.values()):
-        keep[s] &= keep[view.succ[s]].all(axis=1)
+        succ = view.succ[s]
+        dead[s] |= (dead[succ] | (view.mag[s] == 0.0)).all(axis=1)
+        keep[s] &= keep[succ].all(axis=1)
     one = pkg.table.one
 
     def replace(v: Node):

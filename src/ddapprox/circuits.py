@@ -12,10 +12,14 @@ control sits below its target is rewritten exactly as H(target); cz; H(target).
 
 Inside the kernel (`_apply`, `_add` and the `dd._rebuild` walk) an edge is a
 plain (target, weight) pair, passed unpacked where it can be; an `Edge` is
-built only for what a state, a node or `make_node` hands out. Every
-value-table lookup and `make_node` call is made in the same order as by the
-Edge-building kernel kept in ``tests/dense_ref.py``, so both give the same
-nodes, uids and tables.
+built only for what a state, a node or `make_node` hands out. A node that
+a gate rebuilds (the walk above the gate's levels, the control node, the
+mixed target node) comes back as itself at weight one, without a
+`make_node` call, when it is fixed and its new successors are its own
+(`dd._unchanged`): the call would return just that. Every value-table
+lookup and every other `make_node` call is made in the same order as by
+the Edge-building kernel kept in ``tests/dense_ref.py``, which skips the
+same calls, so both give the same nodes, uids and tables.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .complex_table import ComplexValue
-from .dd import TERMINAL, DDPackage, Edge, StateDD, _gc_paused, _rebuild
+from .dd import TERMINAL, DDPackage, Edge, StateDD, _gc_paused, _rebuild, _unchanged
 from .errors import CircuitParseError, DDError
 from .rng import SplitMix64
 
@@ -172,7 +176,10 @@ def simulate(
     The norm is re-checked after every gate and must stay within 4x the
     value-table tolerance of 1. When given, ``observer(index, gate, state)``
     is called after each gate of the circuit, with the cycle collector still
-    paused.
+    paused. The next gate hands the state's unchanged fixed nodes back as
+    they are, so the unique table must still hold them: an observer may call
+    ``package.collect_garbage`` only with the current state's root among
+    the roots.
     """
     pkg = package if package is not None else DDPackage()
     state = pkg.zero_state(circuit.n)
@@ -228,11 +235,11 @@ def _apply(pkg: DDPackage, root: tuple, mat, target: int, control: int | None = 
         if node.level != target:
             return None
         (t0, w0), (t1, w1) = node.succ0, node.succ1
-        return pkg.make_node(
-            target,
-            _add(pkg, t0, times(w0, u00), t1, times(w1, u01), add_memo),
-            _add(pkg, t0, times(w0, u10), t1, times(w1, u11), add_memo),
-        )
+        r0 = _add(pkg, t0, times(w0, u00), t1, times(w1, u01), add_memo)
+        r1 = _add(pkg, t0, times(w0, u10), t1, times(w1, u11), add_memo)
+        if _unchanged(node, r0, r1):
+            return node, t.one
+        return pkg.make_node(target, r0, r1)
 
     if control is None:
         return _rebuild(pkg, *root, mix, {})
@@ -241,7 +248,10 @@ def _apply(pkg: DDPackage, root: tuple, mat, target: int, control: int | None = 
     def controlled(node):
         if node.level != control:
             return None
-        return pkg.make_node(control, node.succ0, _rebuild(pkg, *node.succ1, mix, inner_memo))
+        r1 = _rebuild(pkg, *node.succ1, mix, inner_memo)
+        if _unchanged(node, node.succ0, r1):
+            return node, t.one
+        return pkg.make_node(control, node.succ0, r1)
 
     return _rebuild(pkg, *root, controlled, {})
 

@@ -402,9 +402,10 @@ def _rebuild(pkg: DDPackage, node, weight: ComplexValue, replace, memo: dict) ->
 
     `replace(node)` returns the (target, weight) pair that stands for
     `node`, or None to rebuild the node from its rebuilt successors
-    (0-successor first) through `make_node`. Results are memoized per node
-    in `memo`, which callers may share across walks; the incoming weight is
-    multiplied back on.
+    (0-successor first) through `make_node`, or as (`node`, one) without the
+    call when `_unchanged` says that is what it would return. Results are
+    memoized per node in `memo`, which callers may share across walks; the
+    incoming weight is multiplied back on.
     """
     t = pkg.table
     if weight is t.zero:
@@ -415,18 +416,38 @@ def _rebuild(pkg: DDPackage, node, weight: ComplexValue, replace, memo: dict) ->
     if res is None:
         res = replace(node)
         if res is None:
-            t0, w0 = node.succ0
-            t1, w1 = node.succ1
-            res = pkg.make_node(
-                node.level,
-                _rebuild(pkg, t0, w0, replace, memo),
-                _rebuild(pkg, t1, w1, replace, memo),
-            )
+            r0 = _rebuild(pkg, *node.succ0, replace, memo)
+            r1 = _rebuild(pkg, *node.succ1, replace, memo)
+            if _unchanged(node, r0, r1):
+                res = node, t.one
+            else:
+                res = pkg.make_node(node.level, r0, r1)
         memo[node] = res
     target, w = res
     if w is t.zero:
         return pkg.zero_stub
     return target, t.mul(weight, w)
+
+
+def _unchanged(node: Node, r0, r1) -> bool:
+    """Whether `make_node` on `node`'s level gives (`node`, one) back, and
+    writes neither table, on the rebuilt successors `r0` and `r1`: `node`
+    is fixed (`Node.fixed`), and each (target, weight) pair holds the weight
+    object of the node's own successor and, where that successor is not an
+    edge to the terminal, its target. (A node's edge to the terminal is a
+    zero-stub or sits on the last level; a zero weight may come paired with
+    any target, which `make_node` ignores.) Holds only while the unique
+    table holds `node`: once `collect_garbage` dropped it, the call would
+    create a new node."""
+    if not node.fixed:
+        return False
+    (t0, w0), (t1, w1) = node.succ0, node.succ1
+    return (
+        r0[1] is w0
+        and r1[1] is w1
+        and (r0[0] is t0 or t0 is TERMINAL)
+        and (r1[0] is t1 or t1 is TERMINAL)
+    )
 
 
 def reachable_nodes(dd: "StateDD") -> list[Node]:

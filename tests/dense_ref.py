@@ -13,9 +13,10 @@ float with the same operations in the same order, so results compare with
 `==`. `budget_prefix_ref` is the target-fidelity selection as a sorted
 running sum. `fixed_ref` tells the fixed points of `make_node` from the
 coordinates of each node's weights, not from the verdict `make_node` keeps.
-`eliminate_ref` is elimination without the kept-subdiagram shortcut: it
-re-reduces every reachable node through `make_node`, and its norm walks the
-whole result with `upstream_ref`, not the masses kept on the nodes.
+`eliminate_ref` is elimination without the kept-subdiagram, doomed-subtree
+and unchanged-node shortcuts: it re-reduces every reachable node through
+`make_node`, and its norm walks the whole result with `upstream_ref`, not
+the masses kept on the nodes.
 `inner_product_ref` is the pairwise overlap recursion expanded down to the
 terminal, without the shortcut the package takes where both sides reach one
 shared node.
@@ -34,8 +35,10 @@ tolerance of each other meet in the other order.
 
 `simulate_edges` at the end is the gate-application kernel that builds an
 `Edge` for every scaled successor and every sum, kept as it was before the
-package's kernel passed plain (target, weight) pairs. It makes the same
-table calls in the same order, so both leave equal tables and roots.
+package's kernel passed plain (target, weight) pairs. Like the package's
+kernel, it skips `make_node` for a fixed node whose rebuilt or mixed
+successors are its own. It makes the same table calls in the same order,
+so both leave equal tables and roots.
 """
 
 import math
@@ -299,7 +302,10 @@ def eliminate_ref(dd, doomed):
     divided out comes from `upstream_ref` over the whole result."""
     pkg = dd.package
     doomed = set(doomed)
-    root = rebuild(pkg, dd.root, lambda v: pkg.zero_stub if v in doomed else None, {})
+    def doom(v):
+        return pkg.zero_stub if v in doomed else None
+
+    root = rebuild(pkg, dd.root, doom, {}, skip_unchanged=False)
     if root.weight is pkg.table.zero:
         raise ZeroStateError("elimination removed all probability mass")
     mass = _mag2(root.weight) * upstream_ref(StateDD(dd.n, root, pkg))[root.target]
@@ -456,13 +462,16 @@ def simulate_edges(circuit, pkg):
     return StateDD(circuit.n, root, pkg)
 
 
-def rebuild(pkg: DDPackage, edge: Edge, replace, memo: dict) -> Edge:
+def rebuild(pkg: DDPackage, edge: Edge, replace, memo: dict, skip_unchanged=True) -> Edge:
     """Copy of the diagram below `edge` with some nodes replaced, re-reduced.
 
     `replace(node)` returns the edge that stands for `node`, or None to
     rebuild the node from its rebuilt successors (0-successor first) through
-    `make_node`. Results are memoized per node in `memo`, which callers may
-    share across walks; the incoming weight is multiplied back on.
+    `make_node`. With `skip_unchanged`, as in the package's kernel, a node
+    for which `_unchanged` says the call would give the node back comes back
+    at weight one without the call; without it, every node is re-reduced.
+    Results are memoized per node in `memo`, which callers may share across
+    walks; the incoming weight is multiplied back on.
     """
     t = pkg.table
     if edge.weight is t.zero:
@@ -474,15 +483,30 @@ def rebuild(pkg: DDPackage, edge: Edge, replace, memo: dict) -> Edge:
     if res is None:
         res = replace(node)
         if res is None:
-            res = pkg.make_node(
-                node.level,
-                rebuild(pkg, node.succ0, replace, memo),
-                rebuild(pkg, node.succ1, replace, memo),
-            )
+            s0 = rebuild(pkg, node.succ0, replace, memo, skip_unchanged)
+            s1 = rebuild(pkg, node.succ1, replace, memo, skip_unchanged)
+            if skip_unchanged and _unchanged(node, s0, s1):
+                res = Edge(node, t.one)
+            else:
+                res = pkg.make_node(node.level, s0, s1)
         memo[node] = res
     if res.weight is t.zero:
         return pkg.zero_stub
     return Edge(res.target, t.mul(edge.weight, res.weight))
+
+
+def _unchanged(node, s0: Edge, s1: Edge) -> bool:
+    """Whether `make_node` would give the fixed point `node` back, with
+    weight one, on the successors `s0` and `s1`: they are the node's own
+    successors, target and weight object alike."""
+    e0, e1 = node.succ0, node.succ1
+    return (
+        node.fixed
+        and s0.target is e0.target
+        and s0.weight is e0.weight
+        and s1.target is e1.target
+        and s1.weight is e1.weight
+    )
 
 
 def _scaled(pkg: DDPackage, edge: Edge, w: ComplexValue | complex) -> Edge:
@@ -537,11 +561,11 @@ def _apply(pkg: DDPackage, root: Edge, mat, target: int, control: int | None = N
         if node.level != target:
             return None
         s0, s1 = node.succ0, node.succ1
-        return pkg.make_node(
-            target,
-            _add(pkg, _scaled(pkg, s0, u00), _scaled(pkg, s1, u01), add_memo),
-            _add(pkg, _scaled(pkg, s0, u10), _scaled(pkg, s1, u11), add_memo),
-        )
+        m0 = _add(pkg, _scaled(pkg, s0, u00), _scaled(pkg, s1, u01), add_memo)
+        m1 = _add(pkg, _scaled(pkg, s0, u10), _scaled(pkg, s1, u11), add_memo)
+        if _unchanged(node, m0, m1):
+            return Edge(node, pkg.table.one)
+        return pkg.make_node(target, m0, m1)
 
     if control is None:
         return rebuild(pkg, root, mix, {})
@@ -550,7 +574,10 @@ def _apply(pkg: DDPackage, root: Edge, mat, target: int, control: int | None = N
     def controlled(node):
         if node.level != control:
             return None
-        return pkg.make_node(control, node.succ0, rebuild(pkg, node.succ1, mix, inner_memo))
+        s1 = rebuild(pkg, node.succ1, mix, inner_memo)
+        if _unchanged(node, node.succ0, s1):
+            return Edge(node, pkg.table.one)
+        return pkg.make_node(control, node.succ0, s1)
 
     return rebuild(pkg, root, controlled, {})
 

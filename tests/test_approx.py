@@ -216,6 +216,32 @@ def test_eliminate_matches_full_rebuild(kind, n, seed, mode, pick, budget):
     assert got == want
 
 
+@pytest.mark.parametrize("kind, n, seed", [("dense", 6, 1), ("phases", 6, 4), ("circuit", 6, 3)])
+def test_eliminate_makes_no_call_on_two_zero_successors(kind, n, seed, monkeypatch):
+    """A node whose every edge is a zero-stub or leads to a doomed node
+    comes back as the zero-stub without a walk below it, so elimination
+    never asks `make_node` to collapse two zero successors. The
+    target-fidelity and per-level trials below doom such whole subtrees,
+    so a walk that descends into them fails here."""
+    pkg = DDPackage()
+    dd = _build(kind, n, seed, pkg)
+    zero = pkg.table.zero
+    both_zero = []
+    make_node = DDPackage.make_node
+
+    def spy(pkg, level, succ0, succ1):
+        both_zero.append(succ0[1] is zero and succ1[1] is zero)
+        return make_node(pkg, level, succ0, succ1)
+
+    monkeypatch.setattr(DDPackage, "make_node", spy)
+    for f in (0.99, 0.9, 0.5):
+        for scheme in (TargetFidelity(f), PerLevelFidelity(f)):
+            for doomed in scheme.candidates(dd):
+                if len(doomed):
+                    _eliminate(dd, doomed)
+    assert both_zero and not any(both_zero)
+
+
 def test_overlap_example_returns_a_view_node():
     pkg = DDPackage()
     dd = _overlap_state(pkg)

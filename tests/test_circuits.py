@@ -203,6 +203,7 @@ def _table_calls(run, circ):
 @example(circ=qft(5))
 @example(circ=parse("qubits 3\nh 2\nt 2\nh 1\ncx 2 0\ncx 1 0\n"))  # control below target
 @example(circ=parse("qubits 4\nh 0\nt 0\nh 3\nswap 0 3\nswap 2 1\n"))
+@example(circ=random_circuit(4, 12, 2))  # its nodes #58 and #61 are not fixed
 def test_kernel_matches_edge_building_reference(circ):
     """The kernel passes plain pairs but makes the Edge-building kernel's
     table calls in the same order, so roots, uids and tables are equal."""
@@ -210,6 +211,73 @@ def test_kernel_matches_edge_building_reference(circ):
     want, want_log = _table_calls(dense_ref.simulate_edges, circ)
     assert got == want
     assert got_log == want_log
+
+
+def _make_node_calls(circ):
+    """Simulate `circ` in a fresh package and list, per `make_node` call,
+    (the node being rebuilt or None, the two successors passed, the growth
+    of the unique table).
+
+    The node being rebuilt is the `node` local of the kernel frame that
+    made the call (`dd._rebuild`, or `_apply`'s `mix` and `controlled`);
+    `_add` and `zero_state` rebuild no node."""
+    calls = []
+    make_node = DDPackage.make_node
+
+    def spy(pkg, level, succ0, succ1):
+        node = sys._getframe(1).f_locals.get("node")
+        before = pkg.unique_table_size()
+        e = make_node(pkg, level, succ0, succ1)
+        calls.append((node, (succ0, succ1), pkg.unique_table_size() - before))
+        return e
+
+    DDPackage.make_node = spy
+    try:
+        pkg = DDPackage()
+        simulate(circ, pkg)
+    finally:
+        DDPackage.make_node = make_node
+    return pkg, calls
+
+
+def test_ghz_every_make_node_call_creates_a_node():
+    pkg, calls = _make_node_calls(ghz(64))
+    assert len(calls) == 2144
+    assert all(grew == 1 for _, _, grew in calls)
+
+
+def _own_pair(pkg, node, args):
+    """Whether `args` are `node`'s own successors: the same weight objects,
+    and the same targets wherever the weight is not zero."""
+    zero = pkg.table.zero
+    return all(
+        w is e.weight and (t is e.target or w is zero)
+        for (t, w), e in zip(args, (node.succ0, node.succ1))
+    )
+
+
+@pytest.mark.parametrize("circ", [random_circuit(4, 12, 2), random_circuit(10, 30, 3), qft(6)])
+def test_no_make_node_call_gets_a_fixed_nodes_own_successors(circ):
+    """Such a call would return the node at weight one (`Node.fixed`), an
+    answer known without it; the kernel makes none. Each circuit below
+    rebuilds such nodes, so a kernel without the rule fails here."""
+    pkg, calls = _make_node_calls(circ)
+    rebuilt = [(node, args) for node, args, _ in calls if node is not None]
+    assert rebuilt
+    assert not [node for node, args in rebuilt if node.fixed and _own_pair(pkg, node, args)]
+
+
+def test_observer_may_collect_garbage_around_the_current_state():
+    """Unchanged nodes come back as themselves without `make_node`, so the
+    unique table must still hold the live state: an observer collecting
+    with the current root among the roots leaves the same state."""
+    circ = random_circuit(6, 20, 5)
+    want = simulate(circ, DDPackage())
+    pkg = DDPackage()
+    got = simulate(circ, pkg, observer=lambda i, g, s: pkg.collect_garbage([s.root]))
+    got.validate()
+    assert got.size() == want.size()
+    assert got.to_vector().tobytes() == want.to_vector().tobytes()
 
 
 def test_norm_preserved_after_every_gate(pkg):

@@ -392,7 +392,7 @@ def test_simulation_table_contents_pinned(monkeypatch):
         monkeypatch.setattr(cls, name, counted)
     pkg = DDPackage()
     state = simulate(random_circuit(10, 30, 3), pkg)
-    assert calls == {"lookup": 24266, "make_node": 8354}
+    assert calls == {"lookup": 24124, "make_node": 8189}
     assert len(pkg.table) == 11069
     assert pkg.unique_table_size() == 4327
     assert state.size() == 202

@@ -74,6 +74,24 @@ TABLE = (
         ("tests/test_approx.py::test_target_fidelity_guarantee_random_states",),
     ),
     Mutant(
+        "skip identity rebuilds without checking Node.fixed",
+        "src/ddapprox/dd.py",
+        "    if not node.fixed:\n        return False\n",
+        "",
+        (
+            "tests/test_circuits.py::test_kernel_matches_edge_building_reference",
+            "tests/test_approx.py::test_eliminate_matches_full_rebuild",
+            "tests/test_cli.py::test_sweep_rows_pinned[target-fidelity]",
+        ),
+    ),
+    Mutant(
+        "mark a node dead when any successor is dead",
+        "src/ddapprox/approx.py",
+        "dead[s] |= (dead[succ] | (view.mag[s] == 0.0)).all(axis=1)",
+        "dead[s] |= (dead[succ] | (view.mag[s] == 0.0)).any(axis=1)",
+        ("tests/test_approx.py::test_eliminate_demo_branch",),
+    ),
+    Mutant(
         "drop `s.start +` in _budget_prefixes",
         "src/ddapprox/approx.py",
         "out.append(s.start + order[:cut])",
