@@ -4,10 +4,8 @@ approximation schemes that trade fidelity for diagram size."""
 from .analysis import (
     VisitCounts,
     contributions,
-    downstream,
     nodes_by_level,
     sample_paths,
-    upstream,
 )
 from .approx import (
     ApproxReport,
@@ -25,7 +23,7 @@ from .approx import (
 )
 from .circuits import Circuit, Gate, ghz, parse, qft, random_circuit, simulate
 from .complex_table import DEFAULT_TOL, ComplexTable, ComplexValue, sqr_mag
-from .dd import TERMINAL, DDPackage, Edge, Node, StateDD, reachable_nodes
+from .dd import TERMINAL, DDPackage, Edge, Node, StateDD
 from .errors import (
     CircuitParseError,
     DDError,
@@ -66,7 +64,6 @@ __all__ = [
     "approx_target_fidelity",
     "approx_threshold",
     "contributions",
-    "downstream",
     "eliminate",
     "fidelity",
     "ghz",
@@ -75,9 +72,7 @@ __all__ = [
     "parse",
     "qft",
     "random_circuit",
-    "reachable_nodes",
     "sample_paths",
     "simulate",
     "sqr_mag",
-    "upstream",
 ]

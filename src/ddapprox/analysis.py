@@ -13,9 +13,11 @@ Three per-node numbers drive the approximation schemes:
 All passes run over the state's cached level-array view (`StateDD.view`),
 one numpy step per level, so they need no recursion. The upstream is the
 mass each node keeps (`Node.mass`), gathered once into `LevelView.up`, and
-every pass reads it; the downstream is pushed top-down from the root. Every
-float comes from the same operations in the same order as in a node-by-node
-pass, so the results match such a pass bit for bit.
+every pass reads it; the downstream is pushed top-down from the root by
+the one push, `_downstream`. Its `cut` callback picks nodes of each level
+to zero before that level is pushed, which is how the per-level scheme
+selects. Every float comes from the same operations in the same order as
+in a node-by-node pass, so the results match such a pass bit for bit.
 
 Path sampling takes walks 0..L-1 on every call, so its counts depend on
 nothing but (state, L, seed). The view keeps only what the state alone
@@ -36,19 +38,25 @@ from .dd import TERMINAL, LevelView, Node, StateDD
 from .rng import derive_seeds, draw_array
 
 
-def _downstream(dd: StateDD) -> np.ndarray:
+def _downstream(dd: StateDD, cut=None) -> np.ndarray:
     """Downstream per node index, pushed down one level at a time.
 
     `np.add.at` adds the edges of a level's slice of `view.succ`, raveled,
     into their children in turn: parents in (level, uid) order and each
     parent's 0-edge before its 1-edge, so a node's incoming masses are
     summed in that order. Edges into the terminal land on the sentinel
-    entry, dropped here.
+    entry, dropped here. When `cut` is given, `cut(s, down[s])` is called
+    on each level slice `s`, top first, with the level's downstream as
+    pushed so far, and the entries at the view indices it returns are
+    zeroed before the level is pushed, so each level's downstream is that
+    of the paths avoiding every node cut above it.
     """
     view = dd.view
     down = np.zeros(len(view.nodes) + 1)
     down[0] = sqr_mag(dd.root.weight)  # the root is alone on the top level
     for s in view.levels.values():
+        if cut is not None:
+            down[cut(s, down[s])] = 0.0
         np.add.at(down, view.succ[s].ravel(), (down[s, None] * view.mag[s]).ravel())
     return down[:-1]
 

@@ -24,8 +24,7 @@ from typing import Iterable, Sequence, Union, get_args
 
 import numpy as np
 
-from .analysis import _contributions, sample_paths
-from .complex_table import sqr_mag
+from .analysis import _contributions, _downstream, sample_paths
 from .dd import Edge, LevelView, Node, StateDD, _gc_paused, _mass, _rebuild, _rescaled
 from .errors import ZeroStateError
 from .fidelity import fidelity as state_fidelity
@@ -36,39 +35,48 @@ from .fidelity import fidelity as state_fidelity
 _BUDGET_SLACK = 1e-10
 
 
+def _prefix(order: np.ndarray, x: np.ndarray, limit: float) -> int:
+    """The length of the longest prefix of `x[order]` whose running sum
+    stays <= limit less the slack.
+
+    The entries are nonnegative, so the running sums (added in order, as
+    `np.cumsum` does) never decrease and one search finds the cut: the
+    first entry that would push the sum past the limit is left out, as is
+    everything after it.
+    """
+    return int(np.searchsorted(np.cumsum(x[order]), limit - _BUDGET_SLACK, side="right"))
+
+
 def _budget_prefixes(dd: StateDD, levels: Iterable[int], budget: float) -> list[np.ndarray]:
     """Per level, the longest ascending-contribution prefix of its nodes
-    whose running sum stays <= budget, as an int array of view indices.
+    whose running sum stays <= budget (`_prefix`), as an int array of view
+    indices.
 
-    The first node that would push the sum past the budget is kept, as is
-    everything after it. Ties in contribution fall back to uid order: a
-    level's slice of the view is in uid order and the sort is stable.
-    Contributions are nonnegative, so the running sums (added in order, as
-    `np.cumsum` does) never decrease and one search finds the cut. A level
-    with no node gives an empty prefix.
+    Ties in contribution fall back to uid order: a level's slice of the
+    view is in uid order and the sort is stable. A level with no node gives
+    an empty prefix.
     """
     view = dd.view
     contrib = _contributions(dd)
-    limit = budget - _BUDGET_SLACK
     out = []
     for level in levels:
         s = view.levels.get(level, slice(0, 0))
         c = contrib[s]
         order = np.argsort(c, kind="stable")
-        cut = int(np.searchsorted(np.cumsum(c[order]), limit, side="right"))
-        out.append(s.start + order[:cut])
+        out.append(s.start + order[: _prefix(order, c, budget)])
     return out
 
 
-def _per_level_prefixes(dd: StateDD, fidelity: float) -> list[np.ndarray]:
-    """Per level, top first, the budget prefix of `_budget_prefixes` with
-    budget 1 - fidelity, cut further so that it removes at most
-    1 - fidelity of the mass the levels above left.
+def _per_level_prefixes(dd: StateDD, fidelity: float) -> np.ndarray:
+    """The union, top level first, of each level's budget prefix of
+    `_budget_prefixes` with budget 1 - fidelity, cut further so that it
+    removes at most 1 - fidelity of the mass the levels above left.
 
     The mass a level sees is that of the paths avoiding every node doomed
-    above it: the downstream is pushed top-down as in `_downstream`, with
-    each level's doomed nodes zeroed before the push. Same-level nodes
-    carve the paths into disjoint bundles, so each level keeps at least
+    above it: the cut is taken inside the downstream push of `_downstream`,
+    which zeroes each level's doomed nodes before it pushes the level. Both
+    cuts follow the same stable contribution order. Same-level nodes carve
+    the paths into disjoint bundles, so each level keeps at least
     `fidelity` of that mass, and the union's kept mass is at least
     fidelity ** (number of levels below the root). Where the second cut
     does not bind, the prefix is `_budget_prefixes`' exactly.
@@ -76,23 +84,18 @@ def _per_level_prefixes(dd: StateDD, fidelity: float) -> list[np.ndarray]:
     view = dd.view
     contrib = _contributions(dd)
     budget = 1.0 - fidelity
-    down = np.zeros(len(view.nodes) + 1)
-    down[0] = sqr_mag(dd.root.weight)
-    out = []
-    for s in view.levels.values():
-        seen = down[s] * view.up[s]
+    out = [np.empty(0, np.intp)]
+
+    def cut(s: slice, down: np.ndarray) -> np.ndarray:
         c = contrib[s]
+        seen = down * view.up[s]
         order = np.argsort(c, kind="stable")
-        limits = budget - _BUDGET_SLACK, budget * seen.sum() - _BUDGET_SLACK
-        cut = min(
-            int(np.searchsorted(np.cumsum(x[order]), limit, side="right"))
-            for x, limit in zip((c, seen), limits)
-        )
-        doomed = s.start + order[:cut]
-        out.append(doomed)
-        down[doomed] = 0.0
-        np.add.at(down, view.succ[s].ravel(), (down[s, None] * view.mag[s]).ravel())
-    return out
+        k = min(_prefix(order, c, budget), _prefix(order, seen, budget * seen.sum()))
+        out.append(s.start + order[:k])
+        return out[-1]
+
+    _downstream(dd, cut)
+    return np.concatenate(out)
 
 
 @dataclass(frozen=True)
@@ -190,10 +193,10 @@ class PerLevelFidelity:
     """The same budgeted elimination applied to every level at once.
 
     Each level's ascending prefix is chosen on the original state's
-    contribution map, cut where it would remove more than 1 - fidelity of
-    the mass the levels above leave (`_per_level_prefixes`), and the union
-    is eliminated once. The attained fidelity is bounded below by
-    fidelity ** (n - 1): the root level can never shed its single
+    contribution map and cut where it would remove more than 1 - fidelity
+    of the mass the levels above leave; `_per_level_prefixes` returns the
+    union, which is eliminated once. The attained fidelity is bounded below
+    by fidelity ** (n - 1): the root level can never shed its single
     full-mass node, and each remaining level keeps at least `fidelity` of
     the mass it sees.
     """
@@ -211,8 +214,7 @@ class PerLevelFidelity:
 
     def candidates(self, dd: StateDD) -> list[np.ndarray]:
         """One candidate: the view indices of every level's budget prefix, top first."""
-        prefixes = _per_level_prefixes(dd, self.fidelity)
-        return [np.concatenate(prefixes) if prefixes else np.empty(0, np.intp)]
+        return [_per_level_prefixes(dd, self.fidelity)]
 
 
 Scheme = Union[Sampling, Threshold, TargetFidelity, PerLevelFidelity]

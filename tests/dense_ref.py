@@ -11,8 +11,10 @@ at a time, in plain Python dicts: the straightforward form of the analysis
 passes that the package computes level-wise over arrays. They compute every
 float with the same operations in the same order, so results compare with
 `==`. `budget_prefix_ref` is the target-fidelity selection as a sorted
-running sum. `fixed_ref` tells the fixed points of `make_node` from the
-coordinates of each node's weights, not from the verdict `make_node` keeps.
+running sum, and `per_level_prefix_ref` the per-level one, pushing the
+downstream past each level's doomed nodes one parent at a time.
+`fixed_ref` tells the fixed points of `make_node` from the coordinates of
+each node's weights, not from the verdict `make_node` keeps.
 `eliminate_ref` is elimination without the kept-subdiagram, doomed-subtree
 and unchanged-node shortcuts: it re-reduces every reachable node through
 `make_node`, and its norm walks the whole result with `upstream_ref`, not
@@ -294,6 +296,45 @@ def budget_prefix_ref(nodes, contrib, budget):
         if acc > limit:
             break
         doomed.append(v)
+    return doomed
+
+
+def per_level_prefix_ref(dd, fidelity):
+    """Per-level's doomed nodes, top level first, each level's in ascending
+    (contribution, uid) order, with budget 1 - fidelity.
+
+    A level dooms its nodes in that order while the running sum of their
+    contributions stays <= budget and the running sum of the mass they see
+    stays <= budget times the level's seen mass, each limit less the
+    package's slack. A node sees its upstream times its downstream over the
+    paths that avoid every node doomed above it: the downstream is pushed
+    parent by parent as in `downstream_ref`, after the level's doomed nodes
+    are zeroed. The level's seen mass is numpy's sum of its nodes' values in
+    uid order, which adds pairwise."""
+    up, contrib = upstream_ref(dd), contributions_ref(dd)
+    budget = 1.0 - fidelity
+    levels = {}
+    for v in _nodes_in_level_order(dd):
+        levels.setdefault(v.level, []).append(v)
+    down = {dd.root.target: _mag2(dd.root.weight)}
+    doomed = []
+    for level in sorted(levels):
+        nodes = levels[level]
+        seen = {v: down[v] * up[v] for v in nodes}
+        limit = budget - _BUDGET_SLACK
+        seen_limit = budget * float(np.sum([seen[v] for v in nodes])) - _BUDGET_SLACK
+        acc = seen_acc = 0.0
+        for v in sorted(nodes, key=lambda v: (contrib[v], v.uid)):
+            acc += contrib[v]
+            seen_acc += seen[v]
+            if acc > limit or seen_acc > seen_limit:
+                break
+            doomed.append(v)
+            down[v] = 0.0
+        for v in nodes:
+            for e in (v.succ0, v.succ1):
+                if e.target is not TERMINAL:
+                    down[e.target] = down.get(e.target, 0.0) + down[v] * _mag2(e.weight)
     return doomed
 
 

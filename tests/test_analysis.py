@@ -6,12 +6,10 @@ import pytest
 from ddapprox import (
     TERMINAL,
     contributions,
-    downstream,
     nodes_by_level,
     sample_paths,
-    upstream,
 )
-from ddapprox.analysis import VisitCounts
+from ddapprox.analysis import VisitCounts, downstream, upstream
 from ddapprox.complex_table import sqr_mag
 from ddapprox.rng import SplitMix64, derive_seed
 from conftest import DEMO_VECTOR, demo_nodes

@@ -25,12 +25,11 @@ from ddapprox import (
     ghz,
     nodes_by_level,
     random_circuit,
-    reachable_nodes,
     sample_paths,
     simulate,
 )
 from ddapprox.approx import _budget_prefixes, _eliminate
-from ddapprox.dd import LevelView
+from ddapprox.dd import LevelView, reachable_nodes
 from conftest import DEMO_VECTOR, DEMO_APPROX_VECTOR, demo_nodes
 from test_package_machine import PackageMachine
 
@@ -80,8 +79,6 @@ def test_eliminate_everything_raises(pkg):
 
 
 def test_eliminate_matches_dense_oracle(pkg):
-    from ddapprox import reachable_nodes
-
     rng = np.random.default_rng(71)
     for _ in range(30):
         vec = dense_ref.random_state(rng, 5)
@@ -275,6 +272,30 @@ def test_budget_prefixes_match_sorted_running_sum(kind, n, seed, budget):
     got = _budget_prefixes(dd, range(n), budget)
     nodes = dd.view.nodes
     assert [[nodes[i].uid for i in p] for p in got] == [[v.uid for v in p] for p in want]
+
+
+def test_per_level_prefixes_match_node_by_node_reference():
+    """Per-level dooms the same nodes, in the same order, as the node-by-node
+    reference, on every `_build` kind and the tie and overlap states; on
+    some of them the seen-mass cut binds, so the union differs from the
+    uncut budget prefixes'."""
+    builds = [_tie_state, _overlap_state] + [
+        lambda pkg, a=(kind, n, seed): _build(*a, pkg)
+        for kind in ("circuit", "phases", "ghz", "uniform", "dense")
+        for n in range(1, 8)
+        for seed in range(8)
+    ]
+    binds = 0
+    for build in builds:
+        dd = build(DDPackage())
+        nodes = dd.view.nodes
+        for f in (0.99, 0.9, 0.5, 0.25):
+            (got,) = PerLevelFidelity(f).candidates(dd)
+            want = dense_ref.per_level_prefix_ref(dd, f)
+            assert [nodes[i].uid for i in got] == [v.uid for v in want]
+            uncut = np.concatenate(_budget_prefixes(dd, dd.view.levels, 1.0 - f))
+            binds += got.tolist() != uncut.tolist()
+    assert binds
 
 
 def test_fixed_nodes_are_fixed_points_of_make_node():

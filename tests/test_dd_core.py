@@ -35,10 +35,10 @@ from ddapprox import (
     nodes_by_level,
     qft,
     random_circuit,
-    reachable_nodes,
     sample_paths,
     simulate,
 )
+from ddapprox.dd import reachable_nodes
 from conftest import DEMO_VECTOR, assert_view_keeps_only_chains, demo_nodes
 
 import dense_ref

@@ -14,14 +14,13 @@ from ddapprox import (
     approx_target_fidelity,
     approx_threshold,
     contributions,
-    downstream,
     ghz,
     nodes_by_level,
     sample_paths,
     simulate,
-    upstream,
 )
 from ddapprox import analysis
+from ddapprox.analysis import downstream, upstream
 from ddapprox.rng import (
     _GOLDEN,
     _MASK64,

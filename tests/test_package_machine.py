@@ -29,10 +29,10 @@ from ddapprox import (
     inner_product,
     nodes_by_level,
     random_circuit,
-    reachable_nodes,
     sample_paths,
     simulate,
 )
+from ddapprox.dd import reachable_nodes
 
 import dense_ref
 

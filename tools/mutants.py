@@ -94,16 +94,23 @@ TABLE = (
     Mutant(
         "drop `s.start +` in _budget_prefixes",
         "src/ddapprox/approx.py",
-        "out.append(s.start + order[:cut])",
-        "out.append(order[:cut])",
+        "out.append(s.start + order[: _prefix(order, c, budget)])",
+        "out.append(order[: _prefix(order, c, budget)])",
         ("tests/test_approx.py::test_budget_prefixes_match_sorted_running_sum",),
     ),
     Mutant(
         "eliminate per-level's uncut union again",
-        "src/ddapprox/approx.py",
-        "        down[doomed] = 0.0\n",
-        "",
+        "src/ddapprox/analysis.py",
+        "down[cut(s, down[s])] = 0.0",
+        "cut(s, down[s])",
         ("tests/test_approx.py::test_per_level_floor_on_package_machine_vectors",),
+    ),
+    Mutant(
+        "drop the slack from the prefix rule",
+        "src/ddapprox/approx.py",
+        "limit - _BUDGET_SLACK, side=",
+        "limit, side=",
+        ("tests/test_approx.py::test_per_level_prefixes_match_node_by_node_reference",),
     ),
     Mutant(
         "do not clear the doomed entries of keep",
