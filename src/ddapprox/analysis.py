@@ -99,7 +99,7 @@ _DRAW_MAX = float((1 << 53) - 1)
 
 @dataclass(frozen=True, eq=False)
 class VisitCounts:
-    """Per-node visit counts over `traversals` root-to-terminal walks.
+    """Per-node visit counts over the root-to-terminal walks of one `sample_paths` call.
 
     `array[i]` counts the walks through `nodes[i]`, the state's view nodes
     in (level, uid) order; it is read-only. `counts` maps each node to its
@@ -108,8 +108,6 @@ class VisitCounts:
 
     nodes: list[Node]
     array: np.ndarray
-    traversals: int
-    seed: int
 
     @cached_property
     def counts(self) -> dict[Node, int]:
@@ -138,7 +136,7 @@ def sample_paths(dd: StateDD, traversals: int, seed: int) -> VisitCounts:
         view.chains = _chains(view)
     counts = _walk(view, seed, traversals)
     counts.flags.writeable = False
-    return VisitCounts(view.nodes, counts, traversals, seed)
+    return VisitCounts(view.nodes, counts)
 
 
 def _chains(view: LevelView) -> tuple:

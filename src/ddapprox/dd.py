@@ -78,7 +78,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from itertools import chain, count
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -301,8 +301,11 @@ class DDPackage:
         The diagram is built bottom-up, one level at a time (the
         breadth-first order of Ochi, Yasuoka and Yajima, ICCAD 1993): the
         amplitudes are interned first, then each level's nodes from the
-        level below, with the same values, tie rule and node keys as
-        `make_node` calls on each pair of edges would use.
+        level below, by `make_node`'s tie rule and normalization. The result
+        is the diagram that `make_node` calls in depth-first order build,
+        except where two values within tol of each other, or equal up to the
+        sign of a zero, reach the value table in the other order and the
+        other one becomes the representative.
         """
         arr = np.asarray(amps, dtype=np.complex128).reshape(-1)
         size = arr.shape[0]
@@ -320,46 +323,40 @@ class DDPackage:
         zero, stub = self.table.zero, self.zero_stub
         leaves = self.table.lookup_many(arr.real, arr.imag)
         edges = [stub if w is zero else Edge(TERMINAL, w) for w in leaves]
-        re = np.fromiter(map(attrgetter("re"), leaves), np.float64, size)
-        im = np.fromiter(map(attrgetter("im"), leaves), np.float64, size)
         for level in range(n - 1, -1, -1):
-            edges, re, im = self._level_from_pairs(level, edges, re, im)
+            edges = self._level_from_pairs(level, edges)
         return StateDD(n, edges[0], self)
 
-    def _level_from_pairs(self, level: int, edges: list, re: np.ndarray, im: np.ndarray):
-        """The edges into `level`'s nodes, where node k's successors are
-        `edges[2k]` and `edges[2k + 1]`, plus the coordinates of their
-        weights; `re` and `im` hold those of `edges`' weights.
+    def _level_from_pairs(self, level: int, edges: list) -> list:
+        """Edges in, edges out: the edges into `level`'s nodes, where node
+        k's successors are `edges[2k]` and `edges[2k + 1]`.
 
-        Each pair takes `make_node`'s path without its per-pair calls: the
-        tie tests and the quotients of every pair are computed over the
-        arrays, and the ratios that `ComplexTable.div` would look up are
-        interned in one `lookup_many`, in pair order, before the pairs left
-        with at most one live weight go through `make_node` in turn. The
-        weights are interned, so div's `a is b` is a == b, and its `b is
-        one` is b == (1, 0).
+        Each pair takes `make_node`'s path without its per-pair calls. The
+        weights' coordinates are gathered from `edges`, the tie tests and
+        the quotients of every pair with two live weights are computed over
+        the arrays, and those ratios are interned in one `lookup_many`, in
+        pair order. The table answers a / a with `one` and a / 1 with a,
+        without inserting, as `ComplexTable.div`'s short-cuts do. The pairs
+        left with at most one live weight, and those whose ratio is zero,
+        then go through `make_node` in turn.
         """
         t = self.table
         zero, one = t.zero, t.one
+        re = np.fromiter(map(attrgetter("weight.re"), edges), np.float64, len(edges))
+        im = np.fromiter(map(attrgetter("weight.im"), edges), np.float64, len(edges))
         r0, r1, i0, i1 = re[0::2], re[1::2], im[0::2], im[1::2]
         live = ((r0 != 0.0) | (i0 != 0.0)) & ((r1 != 0.0) | (i1 != 0.0))
         top = r0 * r0 + i0 * i0 >= r1 * r1 + i1 * i1  # ties go to succ0
         # the ratio a / b divides the lighter weight by the heavier one
         ar, ai = np.where(top, r1, r0), np.where(top, i1, i0)
         br, bi = np.where(top, r0, r1), np.where(top, i0, i1)
-        same = (ar == br) & (ai == bi)  # div gives one
-        unit = ~same & (br == 1.0) & (bi == 0.0)  # div gives a
-        ask = np.flatnonzero(live & ~same & ~unit)
-        ratios = iter(t.lookup_many(*quotients(ar[ask], ai[ask], br[ask], bi[ask])))
-        # per pair: 0 at most one live weight, else where its ratio comes from
-        case = np.where(live, np.where(same, 1, np.where(unit, 2, 3)), 0).tolist()
-        pairs = zip(count(), edges[0::2], edges[1::2], case, top.tolist())
+        ratios = iter(t.lookup_many(*quotients(ar[live], ai[live], br[live], bi[live])))
+        pairs = zip(edges[0::2], edges[1::2], live.tolist(), top.tolist())
         out = []
         append, intern, stub = out.append, self._intern, self.zero_stub
-        lone = []  # indices of the edges whose weight make_node looked up
-        for k, (t0, w0), (t1, w1), c, hi in pairs:
-            if c:
-                r = one if c == 1 else (w1 if hi else w0) if c == 2 else next(ratios)
+        for (t0, w0), (t1, w1), two, hi in pairs:
+            if two:
+                r = next(ratios)
                 if r is not zero:
                     if hi:
                         append(Edge(intern(level, t0, one, t1, r), w0))
@@ -370,14 +367,8 @@ class DDPackage:
                 e0, e1 = ((t0, w0), stub) if hi else (stub, (t1, w1))
             else:
                 e0, e1 = (t0, w0), (t1, w1)
-            e = self.make_node(level, e0, e1)
-            if e.weight is not zero:
-                lone.append(k)
-            append(e)
-        # every other edge carries the pair's heavier weight, or (0, 0)
-        for k in lone:
-            br[k], bi[k] = out[k].weight.re, out[k].weight.im
-        return out, br, bi
+            append(self.make_node(level, e0, e1))
+        return out
 
     # -- maintenance ---------------------------------------------------------
 

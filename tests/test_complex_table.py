@@ -349,6 +349,39 @@ def test_quotients_match_complex_division():
     assert bad == []
 
 
+def test_lookups_of_self_and_unit_quotients():
+    """For every interned a: `lookup_many(*quotients(a, a))` is `one` and
+    `lookup_many(*quotients(a, one))` is a itself, and neither inserts. So
+    the table gives, with no short-cut of its own, what `div`'s a / a and
+    a / 1 short-cuts give (the level-by-level build relies on it)."""
+    t = ComplexTable()
+    tol = t.tol
+    rng = np.random.default_rng(29)
+    # magnitudes from 1e-3 to 3, and 500 from tol to 100 tol: every value
+    # below the bucket width shares the few buckets at the origin, whose
+    # scans grow with each value stored there
+    mag = np.concatenate([10.0 ** rng.uniform(-3.0, 0.5, 200_000), rng.uniform(1, 100, 500) * tol])
+    phase = rng.uniform(-math.pi, math.pi, mag.size)
+    re, im = mag * np.cos(phase), mag * np.sin(phase)
+    near = [1.0 - 1e-12, 1.0 + 3 * tol, 1.0 - 2.5 * tol, -1.0, 1.5 * tol, -2.5 * tol, 0.7]
+    # both axes, with either sign of zero stored
+    edge = [(x, -0.0) for x in near] + [(-x, 0.0) for x in near]
+    edge += [(-0.0, x) for x in near] + [(0.0, -x) for x in near]
+    edge += [(1.0 - 1e-12, 1e-13), (1.5 * tol, -1.5 * tol), (-tol, 3 * tol), (0.6, -0.8)]
+    ex, ey = np.array(edge).T
+    values = t.lookup_many(np.concatenate([ex, re]), np.concatenate([ey, im]))
+    values = [v for v in {id(v): v for v in values}.values() if v is not t.zero]
+    assert len(values) >= 100_000
+    size = len(t)
+    ar = np.array([v.re for v in values])
+    ai = np.array([v.im for v in values])
+    assert all(v is t.one for v in t.lookup_many(*quotients(ar, ai, ar, ai)))
+    ones, zeros = np.ones_like(ar), np.zeros_like(ai)
+    got = t.lookup_many(*quotients(ar, ai, ones, zeros))
+    assert all(g is v for g, v in zip(got, values, strict=True))
+    assert len(t) == size
+
+
 @pytest.mark.parametrize("tol", _TOLS)
 def test_aliased_buckets_share_one_chain(tol):
     width = _BUCKET_TOLS * tol

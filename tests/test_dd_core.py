@@ -693,6 +693,10 @@ _C = 0.35355339059327373  # 1 / sqrt(8)
 # Exact ties between unequal weights, which go to the 0-successor.
 @example(vec=np.array([0.5, -0.5, 0.5j, 0.5]))
 @example(vec=np.array([0.0, 0.5, -0.5j, 0.0, 0.5, 0.0, 0.0, -0.5]))
+# Equal weights in every pair of every level: each ratio is a / a.
+@example(vec=np.full(32, 1 / math.sqrt(32)))
+# The level-0 pair's heavier weight is exactly one: its ratio is a / 1.
+@example(vec=np.array([math.sqrt(1 - 1e-12), 0.0, 1e-6, 0.0]))
 # Found by this test: the recursion stores (-1, -0.0) as a level-1 ratio
 # before the level-2 ratio (-1, 0.0) claims it; level by level, (-1, 0.0)
 # comes first. Both builds reproduce the vector exactly.

@@ -134,6 +134,13 @@ TABLE = (
         ("tests/test_dd_core.py::test_from_vector_matches_recursive_build",),
     ),
     Mutant(
+        "negate the liveness tests of the level-by-level build",
+        "src/ddapprox/dd.py",
+        "live = ((r0 != 0.0) | (i0 != 0.0)) & ((r1 != 0.0) | (i1 != 0.0))",
+        "live = ((r0 == 0.0) | (i0 == 0.0)) & ((r1 == 0.0) | (i1 == 0.0))",
+        ("tests/test_dd_core.py::test_from_vector_matches_recursive_build",),
+    ),
+    Mutant(
         "ignore the bucket-edge flag in lookup_many's fast path",
         "src/ddapprox/complex_table.py",
         "fast = ~edge & (np.abs(i) < 2.0**31)",
