@@ -120,10 +120,11 @@ def sample_paths(dd: StateDD, traversals: int, seed: int) -> VisitCounts:
     At a node the 1-successor is taken when the walk's next uniform draw
     falls below p1 = |w1|^2 * up(succ1) / up(node); zero-stub branches have
     probability exactly 0 and are never taken. Walk i draws from its own
-    substream, `SplitMix64(derive_seed(seed, i))`, its k-th draw at the k-th
-    node it visits, so adding walks never perturbs earlier ones. Where a
-    branch is forced no draw is taken and the walk skips the whole forced
-    chain at once; the counts are those of walking every node.
+    substream, `SplitMix64(s)` for `s` entry i of `derive_seeds(seed, 0,
+    traversals)`, its k-th draw at the k-th node it visits, so adding walks
+    never perturbs earlier ones. Where a branch is forced no draw is taken
+    and the walk skips the whole forced chain at once; the counts are those
+    of walking every node.
 
     The state's view keeps the `_chains` arrays, built on its first
     sampling call (`LevelView.chains`), and no counts: every call takes

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence, Union, get_args
 import numpy as np
 
 from .analysis import _contributions, _downstream, sample_paths
-from .dd import Edge, LevelView, Node, StateDD, _gc_paused, _mass, _rebuild, _rescaled
+from .dd import Edge, LevelView, Node, StateDD, _gc_paused, _mass, _preorder, _rebuild, _rescaled
 from .errors import ZeroStateError
 from .fidelity import fidelity as state_fidelity
 
@@ -271,7 +271,9 @@ def _eliminate(dd: StateDD, doomed: np.ndarray) -> tuple[StateDD, int, float]:
     replaced by the zero-stub and kept ones by themselves at weight one.
     The mass is read off the rebuilt root (`Node.mass`), so the rescaled
     root is the one `renormalize` gives. The size comes from
-    `_result_size`.
+    `_result_size`: the reachability walk of `reachable_nodes`
+    (`dd._preorder`), stopped where it reaches the view, so it visits only
+    the rebuilt nodes.
     """
     pkg = dd.package
     view = dd.view
@@ -301,25 +303,13 @@ def _result_size(top, view: LevelView) -> int:
     """Distinct nonterminal nodes below `top`, counted in time proportional
     to the nodes outside `view`.
 
-    A walk with an explicit stack collects the nodes outside the view and
-    stops at every view node (and the terminal) it steps onto. Those view
+    `dd._preorder`, stopped at the view's nodes and the terminal, lists the
+    nodes outside the view and the view indices it stepped onto. Those view
     nodes are spread down the view one level slice at a time, each reached
     node marking both entries of its row of `view.succ`, and counted; a
     node that `make_node` gave back from the view is counted there, once.
     """
-    index = view.index
-    outside: set[Node] = set()
-    reached: list[int] = []  # view indices stepped onto; the terminal is one
-    stack = [top]
-    while stack:
-        v = stack.pop()
-        i = index.get(v)
-        if i is not None:
-            reached.append(i)
-        elif v not in outside:
-            outside.add(v)
-            stack.append(v.succ1.target)
-            stack.append(v.succ0.target)
+    outside, reached = _preorder([top], view.index)
     seen = np.zeros(len(view.nodes) + 1, dtype=bool)
     seen[reached] = True
     for s in view.levels.values():

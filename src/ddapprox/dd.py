@@ -39,36 +39,11 @@ call. Each is a function of the state alone and is stored whole, so a
 racing thread at worst builds one again and gets an equal one.
 
 ``simulate``, ``DDPackage.from_vector``, ``apply_scheme`` (and so every
-``approx_*`` call), ``eliminate`` and the CLI's ``main`` allocate package
-objects in bulk, and ``fidelity`` and ``inner_product`` build a memo of
-node pairs as large as the pairs they expand. These calls pause Python's
-cyclic garbage collector while they run, and turn it back on when they
-return or raise. Nodes, edges and values form a DAG that reference
-counting frees alone, so a collection would rescan the package and free
-nothing. Unpaused, ``fidelity`` of two disjoint 32,767-node states took
-3-4% longer (2-vCPU Xeon, Python 3.11); on states that share their nodes
-it took the same time.
-
-The call that pauses the collector also keeps it from rescanning what the
-call built. It first collects the young generations, which frees the
-cyclic garbage its caller left there. When it leaves more tracked objects
-than start a young collection, it moves every tracked object to the oldest
-generation on its way out (``gc.freeze()``, then ``gc.unfreeze()``);
-otherwise the young collections that follow would traverse and promote
-everything the call allocated. Objects moved so do not count towards the
-collector's trigger for a full collection, so the entry collection is a
-full one whenever the interpreter holds a quarter more memory blocks than
-after the last full one a paused call ran. A caller that holds frozen
-objects (``gc.get_freeze_count() > 0``) keeps them frozen: its paused calls
-do none of this.
-
-The pause is process-wide: while one thread runs such a call, cyclic
-garbage made by any thread waits. What other threads, or an observer
-callback, make during a call that promotes is moved to the oldest
-generation with the rest, where it waits for the next full collection.
-When such calls overlap in several threads, the collector comes back on
-when the call that turned it off returns, perhaps before the others do;
-once all have returned, it is as it was before the first.
+``approx_*`` call), ``eliminate``, ``fidelity``, ``inner_product`` and the
+CLI's ``main`` run with Python's cyclic garbage collector paused, since
+what they allocate in bulk (package objects, or a memo of node pairs) holds
+no cycles and reference counting frees it alone; `_gc_paused` states when
+the collector runs around them.
 """
 
 from __future__ import annotations
@@ -381,7 +356,7 @@ class DDPackage:
         Never called implicitly: sizes observed between explicit collections
         are deterministic.
         """
-        keep = set(_preorder([e.target for e in roots]))
+        keep = set(_preorder([e.target for e in roots])[0])
         before = len(self._unique)
         self._unique = {k: v for k, v in self._unique.items() if v in keep}
         return before - len(self._unique)
@@ -443,23 +418,35 @@ def _unchanged(node: Node, r0, r1) -> bool:
 
 def reachable_nodes(dd: "StateDD") -> list[Node]:
     """Reachable nonterminal nodes in depth-first preorder, 0-successor first."""
-    return _preorder([dd.root.target])
+    return _preorder([dd.root.target])[0]
 
 
-def _preorder(stack: list) -> list[Node]:
+#: `_preorder`'s default stop mapping: the walk stops nowhere. Never written.
+_NO_STOP: dict = {}
+
+
+def _preorder(stack: list, stop: dict = _NO_STOP) -> tuple[list[Node], list]:
     """Nonterminal nodes reachable from the targets on `stack`, which is
-    consumed, in depth-first preorder (last target first, 0-successor first)."""
+    consumed, in depth-first preorder (last target first, 0-successor first),
+    and `stop[v]` for every visit of a key `v` of `stop`, in visit order.
+
+    The walk does not step onto a key of `stop`: it is not listed, and
+    nothing is reached through it. A key visited from several parents is
+    recorded once per visit."""
     out: list[Node] = []
+    hits: list = []
     seen: set[Node] = set()
     while stack:
         t = stack.pop()
-        if t is TERMINAL or t in seen:
-            continue
-        seen.add(t)
-        out.append(t)
-        stack.append(t.succ1.target)
-        stack.append(t.succ0.target)
-    return out
+        i = stop.get(t)
+        if i is not None:
+            hits.append(i)
+        elif t is not TERMINAL and t not in seen:
+            seen.add(t)
+            out.append(t)
+            stack.append(t.succ1.target)
+            stack.append(t.succ0.target)
+    return out, hits
 
 
 class LevelView:

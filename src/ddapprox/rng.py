@@ -45,17 +45,13 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """Seed for substream `index`: scramble(seed + (index + 1) * gamma).
+def derive_seeds(seed: int, start: int, stop: int) -> np.ndarray:
+    """The seeds of substreams start <= i < stop, scramble(seed + (i + 1) *
+    gamma), as a uint64 array.
 
-    Pure in (seed, index), so substreams can be drawn in any order or in
+    Pure in (seed, i), so substreams can be drawn in any order or in
     parallel without changing results.
     """
-    return _scramble((seed + (index + 1) * _GOLDEN) & _MASK64)
-
-
-def derive_seeds(seed: int, start: int, stop: int) -> np.ndarray:
-    """`derive_seed(seed, i)` for start <= i < stop, as a uint64 array."""
     steps = np.arange(start + 1, stop + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     return scramble_array(np.uint64(seed & _MASK64) + steps)
 

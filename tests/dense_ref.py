@@ -13,6 +13,9 @@ float with the same operations in the same order, so results compare with
 `==`. `budget_prefix_ref` is the target-fidelity selection as a sorted
 running sum, and `per_level_prefix_ref` the per-level one, pushing the
 downstream past each level's doomed nodes one parent at a time.
+`derive_seed` gives one walk's seed as a Python int, the scalar form of
+`ddapprox.rng.derive_seeds`, and `replay_walks` walks with it one walk at a
+time.
 `fixed_ref` tells the fixed points of `make_node` from the coordinates of
 each node's weights, not from the verdict `make_node` keeps.
 `eliminate_ref` is elimination without the kept-subdiagram, doomed-subtree
@@ -59,7 +62,7 @@ from ddapprox import (
 from ddapprox.approx import _BUDGET_SLACK
 from ddapprox.complex_table import DEFAULT_TOL
 from ddapprox.circuits import _steps
-from ddapprox.rng import SplitMix64, derive_seed
+from ddapprox.rng import _GOLDEN, _MASK64, SplitMix64, _scramble
 
 _S2 = 1.0 / np.sqrt(2.0)
 _I2 = np.eye(2, dtype=complex)
@@ -125,17 +128,6 @@ def simulate_dense(circuit):
     for gate in circuit.gates:
         state = gate_unitary(gate, circuit.n) @ state
     return state
-
-
-def simulate_dense_trace(circuit):
-    """All intermediate states, one per gate."""
-    state = np.zeros(1 << circuit.n, dtype=complex)
-    state[0] = 1.0
-    trace = []
-    for gate in circuit.gates:
-        state = gate_unitary(gate, circuit.n) @ state
-        trace.append(state)
-    return trace
 
 
 def fidelity_dense(a, b):
@@ -262,6 +254,13 @@ def downstream_ref(dd):
 def contributions_ref(dd):
     up = upstream_ref(dd)
     return {v: d * up[v] for v, d in downstream_ref(dd).items()}
+
+
+def derive_seed(seed, index):
+    """Seed of substream `index`: scramble(seed + (index + 1) * gamma), one
+    at a time, in Python ints; the package draws them as arrays through
+    `ddapprox.rng.derive_seeds`."""
+    return _scramble((seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
 def replay_walks(dd, traversals, seed):

@@ -11,8 +11,9 @@ from ddapprox import (
 )
 from ddapprox.analysis import VisitCounts, downstream, upstream
 from ddapprox.complex_table import sqr_mag
-from ddapprox.rng import SplitMix64, derive_seed
+from ddapprox.rng import SplitMix64
 from conftest import DEMO_VECTOR, demo_nodes
+from dense_ref import derive_seed
 
 import dense_ref
 

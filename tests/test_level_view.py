@@ -28,13 +28,13 @@ from ddapprox.rng import (
     _MIX2,
     SplitMix64,
     _scramble,
-    derive_seed,
     derive_seeds,
     draw_array,
     scramble_array,
 )
 
 from conftest import assert_view_keeps_only_chains
+from dense_ref import derive_seed
 
 import dense_ref
 

@@ -185,9 +185,25 @@ TABLE = (
     Mutant(
         "let collect_garbage drop a live node",
         "src/ddapprox/dd.py",
-        "keep = set(_preorder([e.target for e in roots]))",
-        "keep = set(_preorder([e.target for e in roots])[1:])",
+        "keep = set(_preorder([e.target for e in roots])[0])",
+        "keep = set(_preorder([e.target for e in roots])[0][1:])",
         ("tests/test_dd_core.py::test_collect_garbage_keeps_reachable",),
+    ),
+    Mutant(
+        "record no stop hits in the reachability walk",
+        "src/ddapprox/dd.py",
+        "            hits.append(i)\n",
+        "            pass\n",
+        ("tests/test_approx.py::test_eliminate_matches_full_rebuild",),
+    ),
+    Mutant(
+        "ignore the stop mapping in the reachability walk",
+        "src/ddapprox/dd.py",
+        "i = stop.get(t)",
+        "i = None",
+        ("tests/test_approx.py::test_eliminate_matches_full_rebuild",),
+        survives="a walk that stops nowhere lists every node below the rebuilt root, "
+        "and _result_size counts each once, only slower",
     ),
     Mutant(
         "take a draw at p1 * 2**53 = 2**53 - 1",
